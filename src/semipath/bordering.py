@@ -43,6 +43,24 @@ def _require_square(A):
         raise ShapeMismatch(f"need a square matrix, got {A.rows}x{A.cols}")
 
 
+def _rhs_values(A, b):
+    """The entries of right-hand side b for x = A x + b, as a list.
+
+    b is an n-by-1 matrix over A's instance or a plain sequence of length
+    n, where A is n-by-n.
+    """
+    if isinstance(b, Matrix):
+        if b.semiring is not A.semiring:
+            raise InstanceMismatch("right-hand side belongs to a different instance")
+        if b.cols != 1 or b.rows != A.rows:
+            raise ShapeMismatch(f"right-hand side must be {A.rows}x1, got {b.rows}x{b.cols}")
+        return b.to_flat()
+    bs = list(b)
+    if len(bs) != A.rows:
+        raise ShapeMismatch(f"right-hand side must have length {A.rows}")
+    return bs
+
+
 def _first_closure(sr, value):
     c = sr.closure(value)
     if c is None:
@@ -59,25 +77,9 @@ def _border_extend(sr, C, g, h, a_next, k):
     Bellman solve needs.
     """
     sadd, smul = sr.add, sr.mul
-
-    p = []
-    for i in range(k):
-        ci = C[i]
-        acc = smul(ci[0], g[0])
-        for j in range(1, k):
-            acc = sadd(acc, smul(ci[j], g[j]))
-        p.append(acc)
-
-    q = []
-    for j in range(k):
-        acc = smul(h[0], C[0][j])
-        for i in range(1, k):
-            acc = sadd(acc, smul(h[i], C[i][j]))
-        q.append(acc)
-
-    s = smul(h[0], p[0])
-    for i in range(1, k):
-        s = sadd(s, smul(h[i], p[i]))
+    p = [sr.dot(ci, g) for ci in C]
+    q = [sr.dot(h, cj) for cj in zip(*C)]
+    s = sr.dot(h, p)
 
     u = sr.closure(sadd(s, a_next))
     if u is None:
@@ -127,17 +129,7 @@ def bordering_solve(A, b):
     """
     _require_square(A)
     sr = A.semiring
-    if isinstance(b, Matrix):
-        if b.semiring is not sr:
-            raise InstanceMismatch("right-hand side belongs to a different instance")
-        if b.cols != 1 or b.rows != A.rows:
-            raise ShapeMismatch(f"right-hand side must be {A.rows}x1, got {b.rows}x{b.cols}")
-        bs = b.to_flat()
-    else:
-        bs = list(b)
-        if len(bs) != A.rows:
-            raise ShapeMismatch(f"right-hand side must have length {A.rows}")
-
+    bs = _rhs_values(A, b)
     sadd, smul = sr.add, sr.mul
     rows = A.to_rows()
     n = A.rows
@@ -148,10 +140,7 @@ def bordering_solve(A, b):
         g = [rows[i][k] for i in range(k)]
         h = rows[k][:k]
         C, p, u = _border_extend(sr, C, g, h, rows[k][k], k)
-        acc = smul(h[0], x[0])
-        for i in range(1, k):
-            acc = sadd(acc, smul(h[i], x[i]))
-        x_next = smul(u, sadd(acc, bs[k]))
+        x_next = smul(u, sadd(sr.dot(h, x), bs[k]))
         x = [sadd(x[i], smul(p[i], x_next)) for i in range(k)]
         x.append(x_next)
     return Matrix.column(x, sr)
@@ -217,13 +206,7 @@ def enumerate_solutions(A, b):
     n = A.rows
     if n > ENUMERATION_MAX_N:
         raise EnumerationTooLarge(f"{n} > {ENUMERATION_MAX_N}: too many candidates")
-    if isinstance(b, Matrix):
-        bs = b.to_flat()
-    else:
-        bs = list(b)
-    if len(bs) != n:
-        raise ShapeMismatch(f"right-hand side must have length {n}")
-
+    bs = _rhs_values(A, b)
     rows = A.to_rows()
     solutions = []
     for bits in range(1 << n):

@@ -18,7 +18,7 @@ import os
 import random
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .bordering import bordering_solve, series_closure
 from .errors import (
@@ -168,9 +168,25 @@ def _toeplitz_parts(inst):
     return list(inst.r[:-1]), list(inst.r)
 
 
+def _solve(sr, inst, algorithm, variant):
+    """The solution list for one algorithm, computed over instance ``sr``."""
+    tail, rhs = _toeplitz_parts(inst)
+    if algorithm == "durbin":
+        return durbin(sr, inst.r0, inst.r, variant)
+    if algorithm == "levinson":
+        return levinson(sr, inst.r0, inst.r, inst.b, variant)
+    T = SymToeplitz(inst.r0, tail, sr).expand()
+    if algorithm == "bordering":
+        return bordering_solve(T, rhs).to_flat()
+    return series_closure(T).mul(Matrix.column(rhs, sr)).to_flat()
+
+
 def run_solve(inst, algorithm, variant=VARIANT_RECOMPUTE, check=False, count=False):
     """Dispatch one solve and assemble the report dict.
 
+    ``elapsed`` times a solve on the plain instance.  With ``count``, the
+    operation counts come from a second, untimed solve through a
+    CountingSemiring, whose wrapper calls would otherwise inflate the time.
     The residual check (when requested) runs on the unwrapped instance so
     operation counts reflect the solve alone.
     """
@@ -182,29 +198,17 @@ def run_solve(inst, algorithm, variant=VARIANT_RECOMPUTE, check=False, count=Fal
         raise IncompatibleRequest("levinson needs an explicit right-hand side 'b'")
 
     base = get_semiring(inst.semiring)
-    counter = OpCounter()
-    sr = CountingSemiring(base, counter) if count else base
-    tail, rhs = _toeplitz_parts(inst)
-
     started = time.perf_counter()
-    if algorithm == "durbin":
-        solution = durbin(sr, inst.r0, inst.r, variant)
-    elif algorithm == "levinson":
-        solution = levinson(sr, inst.r0, inst.r, inst.b, variant)
-    elif algorithm == "bordering":
-        T = SymToeplitz(inst.r0, tail, sr).expand()
-        solution = bordering_solve(T, rhs).to_flat()
-    else:
-        T = SymToeplitz(inst.r0, tail, sr).expand()
-        closure = series_closure(T)
-        solution = closure.mul(Matrix.column(rhs, sr)).to_flat()
+    solution = _solve(base, inst, algorithm, variant)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
+    counter = OpCounter()
+    if count:
+        _solve(CountingSemiring(base, counter), inst, algorithm, variant)
 
     report = dict(counter.as_dict())
     if check:
-        report["residual_ok"] = residual_check(
-            SymToeplitz(inst.r0, tail, base), solution, rhs
-        )
+        tail, rhs = _toeplitz_parts(inst)
+        report["residual_ok"] = residual_check(SymToeplitz(inst.r0, tail, base), solution, rhs)
     report["solution"] = [encode_value(v) for v in solution]
     report["algorithm"] = algorithm
     report["variant"] = variant
@@ -276,10 +280,11 @@ def run_bench(semiring_name, algorithm, sizes, seeds, variant=VARIANT_RECOMPUTE)
         base_seed = int(os.environ.get(SEED_ENV_VAR, str(DEFAULT_SEED)))
     except ValueError:
         raise IncompatibleRequest(f"{SEED_ENV_VAR} must be an integer") from None
+    count_fields = [f.name for f in fields(OpCounter)]
     rows = []
     prev_mul = None
     for size in sizes:
-        totals = OpCounter()
+        totals = dict.fromkeys(count_fields, 0)
         elapsed_total = 0.0
         for i in range(seeds):
             rng = random.Random(f"{base_seed}:{semiring_name}:{size}:{i}")
@@ -290,23 +295,16 @@ def run_bench(semiring_name, algorithm, sizes, seeds, variant=VARIANT_RECOMPUTE)
                 r0, r, b = random_bellman(base, size, rng)
                 inst = InstanceFile(semiring=semiring_name, r0=r0, r=r, b=b)
             report = run_solve(inst, algorithm, variant=variant, count=True)
-            totals.add_count += report["add_count"]
-            totals.mul_count += report["mul_count"]
-            totals.closure_count += report["closure_count"]
-            totals.inverse_count += report["inverse_count"]
+            for name in count_fields:
+                totals[name] += report[name]
             elapsed_total += report["elapsed"]
-        mean_mul = totals.mul_count / seeds
-        rows.append({
-            "size": size,
-            "seeds": seeds,
-            "add_count": totals.add_count / seeds,
-            "mul_count": mean_mul,
-            "closure_count": totals.closure_count / seeds,
-            "inverse_count": totals.inverse_count / seeds,
-            "elapsed": elapsed_total / seeds,
-            "mul_ratio": None if prev_mul is None else mean_mul / prev_mul,
-        })
-        prev_mul = mean_mul
+        row = {"size": size, "seeds": seeds}
+        for name in count_fields:
+            row[name] = totals[name] / seeds
+        row["elapsed"] = elapsed_total / seeds
+        row["mul_ratio"] = None if prev_mul is None else row["mul_count"] / prev_mul
+        rows.append(row)
+        prev_mul = row["mul_count"]
     return {
         "algorithm": algorithm,
         "variant": variant,

@@ -121,19 +121,10 @@ class Matrix:
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
         sr = self.semiring
-        sadd, smul = sr.add, sr.mul
-        n, k, m = self.rows, self.cols, other.cols
-        a, b = self.data, other.data
-        out = []
-        append = out.append
-        for i in range(n):
-            arow = i * k
-            for j in range(m):
-                acc = smul(a[arow], b[j])
-                for t in range(1, k):
-                    acc = sadd(acc, smul(a[arow + t], b[t * m + j]))
-                append(acc)
-        return Matrix(n, m, out, sr)
+        b, m = other.data, other.cols
+        columns = [b[j::m] for j in range(m)]
+        out = [sr.dot(row, col) for row in self.to_rows() for col in columns]
+        return Matrix(self.rows, m, out, sr)
 
     def __add__(self, other):
         return self.add(other)
@@ -224,13 +215,6 @@ class SymToeplitz:
         n = self.n
         if len(xs) != n:
             raise ShapeMismatch(f"vector has length {len(xs)}, matrix is {n}x{n}")
-        sr = self.semiring
-        sadd, smul = sr.add, sr.mul
         lag = (self.r0,) + self.tail
-        out = []
-        for i in range(n):
-            acc = smul(lag[i], xs[0])
-            for j in range(1, n):
-                acc = sadd(acc, smul(lag[abs(i - j)], xs[j]))
-            out.append(acc)
-        return out
+        # row i holds lags i, i-1, ..., 1, 0, 1, ..., n-1-i
+        return [self.semiring.dot(lag[i:0:-1] + lag[:n - i], xs) for i in range(n)]

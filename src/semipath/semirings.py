@@ -23,7 +23,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .errors import UnknownSemiring, UnsupportedInstance
+from .errors import ShapeMismatch, UnknownSemiring, UnsupportedInstance
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
@@ -69,6 +69,22 @@ class Semiring:
     def closure(self, a):
         """Return a*, or None when the star diverges in this instance."""
         raise NotImplementedError
+
+    def dot(self, xs, ys):
+        """Left fold with ``add`` of mul(xs[i], ys[i]) over i = 0..k-1.
+
+        xs and ys are sequences of one length k >= 1, else ShapeMismatch.
+        Exactly k ``mul`` and k - 1 ``add`` calls go through ``self``, so a
+        wrapper that overrides them, such as CountingSemiring, sees each one.
+        """
+        k = len(xs)
+        if k == 0 or len(ys) != k:
+            raise ShapeMismatch(f"dot product of lengths {k} and {len(ys)}")
+        add, mul = self.add, self.mul
+        acc = mul(xs[0], ys[0])
+        for i in range(1, k):
+            acc = add(acc, mul(xs[i], ys[i]))
+        return acc
 
     def mul_inverse(self, a):
         """Return b with mul(a, b) = one, or None when a is not invertible."""

@@ -3,10 +3,12 @@
 ``durbin`` solves the self-generated system y = T y + r where the
 right-hand side r also supplies the matrix: T has diagonal r0 and first-row
 tail r[0:n-1] (n = len(r)).  ``levinson`` solves x = T x + b for an
-arbitrary right-hand side by interleaving the same recursion.  Both extend
-the solution of the leading k-by-k system to k+1 using only dot products
-and reversed-index traversals, so the total operation count is quadratic
-in n rather than the cubic cost of the general bordering route.
+arbitrary right-hand side.  Both run one recursion, the private ``_steps``
+generator: at each size k it updates the pivot beta, stars it, and extends
+y (the self-generated solution) and, when b is given, x by one entry.  The
+two extensions are the same step, one ``Semiring.dot`` with the reversed
+generator and one reversed-index update, so the total operation count is
+quadratic in n rather than the cubic cost of the general bordering route.
 
 The pivot-like scalar beta_k = r0 + r[0:k] . y[0:k] can be either
 recomputed from that dot product every step or updated in constant time
@@ -94,11 +96,7 @@ def _next_beta(sr, variant, r0, r, y, beta_prev, alpha_prev, k):
                 f"closure inverse undefined in {sr.name}",
             )
         # fallback: recompute this step the direct way
-    sadd, smul = sr.add, sr.mul
-    acc = smul(r[0], y[0])
-    for i in range(1, k):
-        acc = sadd(acc, smul(r[i], y[i]))
-    return sadd(r0, acc)
+    return sr.add(r0, sr.dot(r[:k], y))
 
 
 def _star(sr, beta, k):
@@ -110,6 +108,48 @@ def _star(sr, beta, k):
     return bstar
 
 
+def _extend(sr, r, z, rhs_k, bstar, y):
+    """Extend z, which solves the leading k-by-k system (k = len(y)) for a
+    right-hand side whose next entry is rhs_k; y solves the self-generated
+    one.  The new entry is bstar * (r[k-1::-1] . z + rhs_k) and each z[j]
+    gains y[k-1-j] times it.  Returns the extended list and the new entry.
+    """
+    k = len(y)
+    if k:
+        rhs_k = sr.add(sr.dot(r[k - 1::-1], z), rhs_k)
+    newest = sr.mul(bstar, rhs_k)
+    extended = [sr.add(z[j], sr.mul(y[k - 1 - j], newest)) for j in range(k)]
+    extended.append(newest)
+    return extended, newest
+
+
+def _steps(sr, r0, r, b, variant):
+    """The recursion behind ``durbin_steps`` and ``levinson_steps``: y/alpha
+    is extended while k < len(r), x/mu only when a right-hand side b is given.
+    """
+    _check_variant(sr, variant)
+    n = len(r) if b is None else len(b)
+    if n < 1:
+        raise ShapeMismatch("need at least one right-hand-side entry")
+    if b is not None and len(r) != n - 1:
+        raise ShapeMismatch(
+            f"generator tail must have length {n - 1} for a size-{n} system, got {len(r)}"
+        )
+
+    beta, alpha, mu = r0, None, None
+    y, x = [], None if b is None else []
+    for k in range(n):
+        if k:
+            beta = _next_beta(sr, variant, r0, r, y, beta, alpha, k)
+        bstar = _star(sr, beta, k + 1)
+        if b is not None:
+            x, mu = _extend(sr, r, x, b[k], bstar, y)
+        if k < len(r):
+            y, alpha = _extend(sr, r, y, r[k], bstar, y)
+        yield SolveState(k=k + 1, y=list(y), alpha=alpha, beta=beta, variant=variant,
+                         x=None if x is None else list(x), mu=mu)
+
+
 def durbin_steps(semiring, r0, r, variant=VARIANT_RECOMPUTE):
     """Yield a SolveState after each extension of the self-generated system.
 
@@ -117,28 +157,7 @@ def durbin_steps(semiring, r0, r, variant=VARIANT_RECOMPUTE):
     symmetric Toeplitz matrix with diagonal r0 and tail r[:j-1]; it is
     exactly what a run on the truncated input (r0, r[:j]) would return.
     """
-    _check_variant(semiring, variant)
-    n = len(r)
-    if n < 1:
-        raise ShapeMismatch("need at least one right-hand-side entry")
-    sadd, smul = semiring.add, semiring.mul
-
-    c = _star(semiring, r0, 1)
-    y = [smul(c, r[0])]
-    beta = r0
-    alpha = y[0]
-    yield SolveState(k=1, y=list(y), alpha=alpha, beta=beta, variant=variant)
-
-    for k in range(1, n):
-        beta = _next_beta(semiring, variant, r0, r, y, beta, alpha, k)
-        bstar = _star(semiring, beta, k + 1)
-        acc = smul(r[k - 1], y[0])
-        for j in range(1, k):
-            acc = sadd(acc, smul(r[k - 1 - j], y[j]))
-        alpha = smul(bstar, sadd(acc, r[k]))
-        y = [sadd(y[j], smul(y[k - 1 - j], alpha)) for j in range(k)]
-        y.append(alpha)
-        yield SolveState(k=k + 1, y=list(y), alpha=alpha, beta=beta, variant=variant)
+    yield from _steps(semiring, r0, r, None, variant)
 
 
 def durbin(semiring, r0, r, variant=VARIANT_RECOMPUTE):
@@ -161,49 +180,7 @@ def levinson_steps(semiring, r0, r, b, variant=VARIANT_RECOMPUTE):
     x/mu recursion for the actual right-hand side b; the final step skips
     the y extension since y is only needed to extend x further.
     """
-    _check_variant(semiring, variant)
-    n = len(b)
-    if n < 1:
-        raise ShapeMismatch("need at least one right-hand-side entry")
-    if len(r) != n - 1:
-        raise ShapeMismatch(
-            f"generator tail must have length {n - 1} for a size-{n} system, got {len(r)}"
-        )
-    sadd, smul = semiring.add, semiring.mul
-
-    c = _star(semiring, r0, 1)
-    x = [smul(c, b[0])]
-    if n == 1:
-        yield SolveState(k=1, y=[], alpha=None, beta=r0, variant=variant, x=list(x), mu=x[0])
-        return
-
-    y = [smul(c, r[0])]
-    beta = r0
-    alpha = y[0]
-    yield SolveState(k=1, y=list(y), alpha=alpha, beta=beta, variant=variant, x=list(x), mu=x[0])
-
-    for k in range(1, n):
-        beta = _next_beta(semiring, variant, r0, r, y, beta, alpha, k)
-        bstar = _star(semiring, beta, k + 1)
-
-        acc = smul(r[k - 1], x[0])
-        for j in range(1, k):
-            acc = sadd(acc, smul(r[k - 1 - j], x[j]))
-        mu = smul(bstar, sadd(acc, b[k]))
-        x = [sadd(x[j], smul(y[k - 1 - j], mu)) for j in range(k)]
-        x.append(mu)
-
-        if k < n - 1:
-            acc = smul(r[k - 1], y[0])
-            for j in range(1, k):
-                acc = sadd(acc, smul(r[k - 1 - j], y[j]))
-            alpha = smul(bstar, sadd(acc, r[k]))
-            y = [sadd(y[j], smul(y[k - 1 - j], alpha)) for j in range(k)]
-            y.append(alpha)
-
-        yield SolveState(
-            k=k + 1, y=list(y), alpha=alpha, beta=beta, variant=variant, x=list(x), mu=mu
-        )
+    yield from _steps(semiring, r0, r, b, variant)
 
 
 def levinson(semiring, r0, r, b, variant=VARIANT_RECOMPUTE):

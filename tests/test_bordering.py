@@ -212,6 +212,10 @@ def test_enumerate_guards():
         sp.enumerate_solutions(Matrix.identity(13, BOOL), [0] * 13)
     with pytest.raises(sp.UnsupportedInstance):
         sp.enumerate_solutions(Matrix.identity(2, MP), [0, 0])
+    with pytest.raises(sp.ShapeMismatch):
+        sp.enumerate_solutions(Matrix.identity(4, BOOL), Matrix(2, 2, [0] * 4, BOOL))
+    with pytest.raises(sp.InstanceMismatch):
+        sp.enumerate_solutions(Matrix.identity(2, BOOL), Matrix.column([0, 0], MP))
 
 
 def test_bordering_solve_is_least_enumerated_solution():

@@ -1,6 +1,7 @@
 """Instance-file parsing, solve/bench dispatch, exit codes, determinism."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -147,6 +148,27 @@ def test_run_solve_sentinel_serialization():
     inst = InstanceFile(semiring="max-plus", r0=-1, r=[sp.NEG_INF, -3])
     report = run_solve(inst, "durbin")
     assert report["solution"][0] == "-inf"
+
+
+def test_run_solve_times_the_plain_instance_and_counts_separately(monkeypatch):
+    base = sp.get_semiring("max-plus")
+    events = []
+
+    def clock():
+        events.append("clock")
+        return 0.0
+
+    def recording_durbin(sr, *args):
+        events.append("base" if sr is base else type(sr).__name__)
+        return sp.durbin(sr, *args)
+
+    monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=clock))
+    monkeypatch.setattr(cli, "durbin", recording_durbin)
+    inst = InstanceFile(semiring="max-plus", r0=-1, r=[-2, -3])
+    report = run_solve(inst, "durbin", count=True)
+    assert events == ["clock", "base", "clock", "CountingSemiring"]
+    assert (report["mul_count"], report["add_count"]) == (5, 3)
+    assert report["solution"] == [-2, -3]
 
 
 def test_run_solve_deterministic_except_elapsed():
