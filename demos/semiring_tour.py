@@ -5,6 +5,8 @@ canonical order on idempotent carriers, the axiom checker, and the
 operation-counting wrapper.
 """
 
+from dataclasses import asdict
+
 import semipath as sp
 from semipath import NEG_INF, POS_INF
 
@@ -84,4 +86,4 @@ print()
 # one wrapper per measurement.
 counted = sp.CountingSemiring(mp)
 sp.durbin(counted, -1, [-2, -3, -4, -5])
-print("operation counts for a size-4 solve:", counted.counter.as_dict())
+print("operation counts for a size-4 solve:", asdict(counted.counter))

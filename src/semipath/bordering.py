@@ -6,6 +6,9 @@ Two routes:
   leading 1x1 corner, extending the closed submatrix by one row and column
   per step.  The running closure is kept and updated in place of being
   recomputed, which makes the total cost cubic in n.
+  ``_border_step`` extends a solution by one entry; the Toeplitz solvers
+  take the same step with the reversed self-generated solution in place
+  of the closure column.
 * ``series_closure`` accumulates the partial sums I + A + A^2 + ... until
   they stop changing.  It is the brute-force oracle the structured solvers
   are verified against.
@@ -61,43 +64,59 @@ def _rhs_values(A, b):
     return bs
 
 
-def _first_closure(sr, value):
-    c = sr.closure(value)
-    if c is None:
-        raise ClosureUndefined(1, f"closure of the leading entry is undefined in {sr.name}")
-    return c
+def _star(sr, value, step):
+    """The closure of ``value``, or ClosureUndefined naming ``step``, the
+    size of the leading subsystem that needed it."""
+    star = sr.closure(value)
+    if star is None:
+        raise ClosureUndefined(step, f"closure undefined in {sr.name} at size {step}")
+    return star
 
 
-def _border_extend(sr, C, g, h, a_next, k):
-    """Extend the k-by-k closure C to cover one more row and column.
+def _border_step(sr, z, h, p, rhs_k, star):
+    """Extend z, which solves the leading k-by-k system (k = len(z)), by one
+    entry for a right-hand side whose next entry is rhs_k.
 
-    The bordered matrix is [[A_k, g], [h^T, a_next]] and C is the closure of
-    A_k (kept as a list of row lists).  Returns (C_next, p, u) where
-    p = C g and u is the new corner entry; p and u are what the incremental
-    Bellman solve needs.
+    h is the new row left of the diagonal, p = C g the leading closure times
+    the new column above it, and star the new corner's starred pivot.  The
+    new entry is star * (h . z + rhs_k) and each z[j] gains p[j] times it.
+    Returns the extended list and the new entry.
+    """
+    if z:
+        rhs_k = sr.add(sr.dot(h, z), rhs_k)
+    new = sr.mul(star, rhs_k)
+    extended = [sr.add(zj, sr.mul(pj, new)) for zj, pj in zip(z, p)]
+    extended.append(new)
+    return extended, new
+
+
+def _bordering_steps(sr, rows):
+    """Grow the closure C of the leading k-by-k block of ``rows`` for k = 1..n.
+
+    Step k borders C with the column g above the new corner and the row h
+    left of it: with p = C g, q = h^T C and u = (h . p + a_kk)*, the new
+    closure is [[C + p u q, p u], [u q, u]].  Yields (C, h, p, u) per step;
+    the first has empty h and p.
     """
     sadd, smul = sr.add, sr.mul
-    p = [sr.dot(ci, g) for ci in C]
-    q = [sr.dot(h, cj) for cj in zip(*C)]
-    s = sr.dot(h, p)
-
-    u = sr.closure(sadd(s, a_next))
-    if u is None:
-        raise ClosureUndefined(
-            k + 1, f"scalar closure undefined in {sr.name} while extending to size {k + 1}"
-        )
-
-    v = [smul(pi, u) for pi in p]
-    w = [smul(u, qj) for qj in q]
-    C_next = []
-    for i in range(k):
-        ci = C[i]
-        vi = v[i]
-        row = [sadd(ci[j], smul(vi, q[j])) for j in range(k)]
-        row.append(vi)
-        C_next.append(row)
-    C_next.append(w + [u])
-    return C_next, p, u
+    C = [[_star(sr, rows[0][0], 1)]]
+    yield C, (), (), C[0][0]
+    for k in range(1, len(rows)):
+        g = [row[k] for row in rows[:k]]
+        h = rows[k][:k]
+        p = [sr.dot(ci, g) for ci in C]
+        q = [sr.dot(h, cj) for cj in zip(*C)]
+        u = _star(sr, sadd(sr.dot(h, p), rows[k][k]), k + 1)
+        w = [smul(u, qj) for qj in q]
+        C_next = []
+        for ci, pi in zip(C, p):
+            vi = smul(pi, u)
+            row = [sadd(cij, smul(vi, qj)) for cij, qj in zip(ci, q)]
+            row.append(vi)
+            C_next.append(row)
+        C_next.append(w + [u])
+        C = C_next
+        yield C, h, p, u
 
 
 def bordering_closure(A):
@@ -108,15 +127,9 @@ def bordering_closure(A):
     succeeds the result satisfies A* = I + A A* = I + A* A.
     """
     _require_square(A)
-    sr = A.semiring
-    rows = A.to_rows()
-    n = A.rows
-    C = [[_first_closure(sr, rows[0][0])]]
-    for k in range(1, n):
-        g = [rows[i][k] for i in range(k)]
-        h = rows[k][:k]
-        C, _, _ = _border_extend(sr, C, g, h, rows[k][k], k)
-    return Matrix.from_rows(C, sr)
+    for C, _, _, _ in _bordering_steps(A.semiring, A.to_rows()):
+        pass
+    return Matrix.from_rows(C, A.semiring)
 
 
 def bordering_solve(A, b):
@@ -130,19 +143,9 @@ def bordering_solve(A, b):
     _require_square(A)
     sr = A.semiring
     bs = _rhs_values(A, b)
-    sadd, smul = sr.add, sr.mul
-    rows = A.to_rows()
-    n = A.rows
-    c = _first_closure(sr, rows[0][0])
-    C = [[c]]
-    x = [smul(c, bs[0])]
-    for k in range(1, n):
-        g = [rows[i][k] for i in range(k)]
-        h = rows[k][:k]
-        C, p, u = _border_extend(sr, C, g, h, rows[k][k], k)
-        x_next = smul(u, sadd(sr.dot(h, x), bs[k]))
-        x = [sadd(x[i], smul(p[i], x_next)) for i in range(k)]
-        x.append(x_next)
+    x = []
+    for (_, h, p, u), rhs_k in zip(_bordering_steps(sr, A.to_rows()), bs):
+        x, _ = _border_step(sr, x, h, p, rhs_k, u)
     return Matrix.column(x, sr)
 
 

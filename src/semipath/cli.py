@@ -18,7 +18,7 @@ import os
 import random
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 from .bordering import bordering_solve, series_closure
 from .errors import (
@@ -205,7 +205,7 @@ def run_solve(inst, algorithm, variant=VARIANT_RECOMPUTE, check=False, count=Fal
     if count:
         _solve(CountingSemiring(base, counter), inst, algorithm, variant)
 
-    report = dict(counter.as_dict())
+    report = asdict(counter)
     if check:
         tail, rhs = _toeplitz_parts(inst)
         report["residual_ok"] = residual_check(SymToeplitz(inst.r0, tail, base), solution, rhs)
@@ -354,39 +354,29 @@ def main(argv=None):
         print(json.dumps(list(REGISTRY)))
         return EXIT_OK
 
-    if args.command == "bench":
-        try:
-            sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
-        except ValueError:
-            return _fail(IncompatibleRequest(f"bad --sizes value {args.sizes!r}"), EXIT_REQUEST)
-        try:
-            table = run_bench(args.semiring, args.algorithm, sizes, args.seeds, args.variant)
-        except (ParseError, IncompatibleRequest) as exc:
-            return _fail(exc, EXIT_REQUEST)
-        except (SolverUndefined, NotStabilized) as exc:
-            return _fail(exc, EXIT_UNDEFINED)
-        print(json.dumps(table))
-        return EXIT_OK
-
-    # solve
     try:
-        inst = parse_instance(args.input)
-        if inst.semiring != args.semiring:
-            raise IncompatibleRequest(
-                f"--semiring {args.semiring!r} does not match the file's {inst.semiring!r}"
+        if args.command == "bench":
+            try:
+                sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
+            except ValueError:
+                raise IncompatibleRequest(f"bad --sizes value {args.sizes!r}") from None
+            report = run_bench(args.semiring, args.algorithm, sizes, args.seeds, args.variant)
+        else:
+            inst = parse_instance(args.input)
+            if inst.semiring != args.semiring:
+                raise IncompatibleRequest(
+                    f"--semiring {args.semiring!r} does not match the file's {inst.semiring!r}"
+                )
+            report = run_solve(
+                inst, args.algorithm, variant=args.variant,
+                check=args.check, count=args.count_ops,
             )
-        report = run_solve(
-            inst, args.algorithm, variant=args.variant,
-            check=args.check, count=args.count_ops,
-        )
-    except (ParseError, IncompatibleRequest) as exc:
-        return _fail(exc, EXIT_REQUEST)
     except (SolverUndefined, NotStabilized) as exc:
         return _fail(exc, EXIT_UNDEFINED)
     except SemipathError as exc:
         return _fail(exc, EXIT_REQUEST)
     print(json.dumps(report))
-    if args.check and not report["residual_ok"]:
+    if args.command == "solve" and args.check and not report["residual_ok"]:
         return EXIT_RESIDUAL
     return EXIT_OK
 

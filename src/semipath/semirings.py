@@ -334,14 +334,6 @@ class OpCounter:
     closure_count: int = 0
     inverse_count: int = 0
 
-    def as_dict(self):
-        return {
-            "add_count": self.add_count,
-            "mul_count": self.mul_count,
-            "closure_count": self.closure_count,
-            "inverse_count": self.inverse_count,
-        }
-
 
 class CountingSemiring(Semiring):
     """Wrap another instance and count every add/mul/closure/inverse call.

@@ -5,10 +5,11 @@ right-hand side r also supplies the matrix: T has diagonal r0 and first-row
 tail r[0:n-1] (n = len(r)).  ``levinson`` solves x = T x + b for an
 arbitrary right-hand side.  Both run one recursion, the private ``_steps``
 generator: at each size k it updates the pivot beta, stars it, and extends
-y (the self-generated solution) and, when b is given, x by one entry.  The
-two extensions are the same step, one ``Semiring.dot`` with the reversed
-generator and one reversed-index update, so the total operation count is
-quadratic in n rather than the cubic cost of the general bordering route.
+y (the self-generated solution) and, when b is given, x by one entry.  Both
+extensions are the bordering step of ``bordering_solve``: by persymmetry the
+leading closure times the new column is the reversed y, so the closure is
+never carried and the total operation count is quadratic in n rather than
+the cubic cost of the general bordering route.
 
 The pivot-like scalar beta_k = r0 + r[0:k] . y[0:k] can be either
 recomputed from that dot product every step or updated in constant time
@@ -23,12 +24,8 @@ through the closure inverse of the previous beta.  The three policies:
 
 from dataclasses import dataclass
 
-from .errors import (
-    ClosureUndefined,
-    InverseUndefined,
-    ShapeMismatch,
-    UnsupportedInstance,
-)
+from .bordering import _border_step, _star
+from .errors import InverseUndefined, ShapeMismatch, UnsupportedInstance
 
 VARIANT_RECOMPUTE = "recompute"
 VARIANT_RECURSIVE = "recursive"
@@ -99,30 +96,6 @@ def _next_beta(sr, variant, r0, r, y, beta_prev, alpha_prev, k):
     return sr.add(r0, sr.dot(r[:k], y))
 
 
-def _star(sr, beta, k):
-    bstar = sr.closure(beta)
-    if bstar is None:
-        raise ClosureUndefined(
-            k, f"pivot closure undefined in {sr.name} at size {k}"
-        )
-    return bstar
-
-
-def _extend(sr, r, z, rhs_k, bstar, y):
-    """Extend z, which solves the leading k-by-k system (k = len(y)) for a
-    right-hand side whose next entry is rhs_k; y solves the self-generated
-    one.  The new entry is bstar * (r[k-1::-1] . z + rhs_k) and each z[j]
-    gains y[k-1-j] times it.  Returns the extended list and the new entry.
-    """
-    k = len(y)
-    if k:
-        rhs_k = sr.add(sr.dot(r[k - 1::-1], z), rhs_k)
-    newest = sr.mul(bstar, rhs_k)
-    extended = [sr.add(z[j], sr.mul(y[k - 1 - j], newest)) for j in range(k)]
-    extended.append(newest)
-    return extended, newest
-
-
 def _steps(sr, r0, r, b, variant):
     """The recursion behind ``durbin_steps`` and ``levinson_steps``: y/alpha
     is extended while k < len(r), x/mu only when a right-hand side b is given.
@@ -138,14 +111,17 @@ def _steps(sr, r0, r, b, variant):
 
     beta, alpha, mu = r0, None, None
     y, x = [], None if b is None else []
+    h = p = ()
     for k in range(n):
         if k:
             beta = _next_beta(sr, variant, r0, r, y, beta, alpha, k)
+            # by persymmetry the closure times the new column is reversed y
+            h, p = r[k - 1::-1], y[::-1]
         bstar = _star(sr, beta, k + 1)
         if b is not None:
-            x, mu = _extend(sr, r, x, b[k], bstar, y)
+            x, mu = _border_step(sr, x, h, p, b[k], bstar)
         if k < len(r):
-            y, alpha = _extend(sr, r, y, r[k], bstar, y)
+            y, alpha = _border_step(sr, y, h, p, r[k], bstar)
         yield SolveState(k=k + 1, y=list(y), alpha=alpha, beta=beta, variant=variant,
                          x=None if x is None else list(x), mu=mu)
 

@@ -306,3 +306,10 @@ def test_main_bench_command(capsys):
 def test_main_bench_bad_sizes(capsys):
     assert main(["bench", "--semiring", "max-plus", "--algorithm", "durbin",
                  "--sizes", "8,oops", "--seeds", "1"]) == 2
+
+
+def test_main_bench_typed_error_exit_2(capsys):
+    code = main(["bench", "--semiring", "max-min", "--algorithm", "durbin",
+                 "--variant", "recursive", "--sizes", "4", "--seeds", "1"])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "UnsupportedInstance"

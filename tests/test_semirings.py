@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, strategies as st
@@ -235,7 +236,7 @@ def test_counting_wrapper_counts_every_call():
     sr.mul(1, 2)
     sr.closure(-1)
     sr.mul_inverse(3)
-    assert counter.as_dict() == {
+    assert asdict(counter) == {
         "add_count": 2, "mul_count": 1, "closure_count": 1, "inverse_count": 1,
     }
 

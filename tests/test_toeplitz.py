@@ -77,6 +77,39 @@ def test_durbin_matches_bordering_on_expanded_system():
         assert sp.durbin(MP, r0, r) == sp.bordering_solve(T, r).to_flat()
 
 
+def _outcome(solve):
+    try:
+        return "ok", solve()
+    except sp.ClosureUndefined as exc:
+        return "ClosureUndefined", exc.step
+
+
+def test_toeplitz_and_bordering_solvers_agree_on_the_failing_step():
+    # entries up to +2 make some pivot positive (no max-plus star) in most
+    # draws; the failing step ranges over 1..8
+    rng = random.Random(31)
+
+    def draw():
+        return NEG_INF if rng.random() < 0.05 else rng.randint(-6, 2)
+
+    failed = 0
+    for n in range(1, 9):
+        for _ in range(60):
+            r0 = draw()
+            r = [draw() for _ in range(n)]
+            b = [draw() for _ in range(n)]
+            T = SymToeplitz(r0, r[:-1], MP).expand()
+            dur = _outcome(lambda: sp.durbin(MP, r0, r))
+            lev = _outcome(lambda: sp.levinson(MP, r0, r[:-1], b))
+            bor_r = _outcome(lambda: sp.bordering_solve(T, r).to_flat())
+            bor_b = _outcome(lambda: sp.bordering_solve(T, b).to_flat())
+            assert dur == bor_r, (r0, r)
+            assert lev == bor_b, (r0, r, b)
+            assert dur[0] == lev[0] and (dur[0] == "ok" or dur[1] == lev[1]), (r0, r, b)
+            failed += dur[0] != "ok"
+    assert 0 < failed < 8 * 60
+
+
 def test_durbin_closure_undefined_steps():
     with pytest.raises(sp.ClosureUndefined) as exc:
         sp.durbin(MP, 1, [-2])
