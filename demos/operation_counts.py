@@ -1,63 +1,26 @@
 """Operation-count scaling: quadratic Toeplitz solvers vs cubic bordering.
 
-Counts semiring multiplications through the counting wrapper while the
-problem size doubles.  The Toeplitz recursions quadruple per doubling
-(O(n^2)); the general bordering closure multiplies by eight (O(n^3)).
-Wall time is shown for context only; the counts are the measurement.
+Prints ``run_bench`` tables for max-plus while the problem size doubles.
+The multiplication counts come from a counting run; the Toeplitz
+recursions quadruple per doubling (O(n^2)), the general bordering solve
+multiplies by eight (O(n^3)).  The ms column times a separate solve on the
+plain instance and is shown for context only; the counts are the
+measurement.
 """
 
-import random
-import time
+from semipath.cli import run_bench
 
-import semipath as sp
-from semipath import SymToeplitz
-from semipath.cli import random_bellman, random_yule_walker
-
-MP = sp.get_semiring("max-plus")
-
-
-def measure(solver, sizes):
-    rows = []
-    prev = None
-    for n in sizes:
-        rng = random.Random(42)
-        counted = sp.CountingSemiring(MP)
-        started = time.perf_counter()
-        solver(counted, n, rng)
-        elapsed = (time.perf_counter() - started) * 1000
-        muls = counted.counter.mul_count
-        rows.append((n, muls, None if prev is None else muls / prev, elapsed))
-        prev = muls
-    return rows
-
-
-def run_durbin(sr, n, rng):
-    r0, r = random_yule_walker(MP, n, rng)
-    sp.durbin(sr, r0, r)
-
-
-def run_levinson(sr, n, rng):
-    r0, r, b = random_bellman(MP, n, rng)
-    sp.levinson(sr, r0, r, b)
-
-
-def run_bordering(sr, n, rng):
-    r0, r = random_yule_walker(MP, n, rng)
-    sp.bordering_closure(SymToeplitz(r0, r[:-1], sr).expand())
-
-
-def show(title, rows):
-    print(title)
+for algorithm, sizes, expect in (
+    ("durbin", [64, 128, 256], 4),
+    ("levinson", [64, 128, 256], 4),
+    ("bordering", [32, 64, 128], 8),
+):
+    print(f"{algorithm} (expect ratio -> {expect})")
     print(f"  {'n':>5}  {'mul count':>12}  {'ratio':>7}  {'ms':>8}")
-    for n, muls, ratio, ms in rows:
-        shown = "" if ratio is None else f"{ratio:.2f}"
-        print(f"  {n:>5}  {muls:>12}  {shown:>7}  {ms:>8.1f}")
+    for row in run_bench("max-plus", algorithm, sizes, seeds=1)["rows"]:
+        ratio = "" if row["mul_ratio"] is None else f"{row['mul_ratio']:.2f}"
+        print(f"  {row['size']:>5}  {row['mul_count']:>12.0f}  {ratio:>7}  {row['elapsed']:>8.1f}")
     print()
-
-
-show("durbin (expect ratio -> 4)", measure(run_durbin, [64, 128, 256]))
-show("levinson (expect ratio -> 4)", measure(run_levinson, [64, 128, 256]))
-show("bordering closure (expect ratio -> 8)", measure(run_bordering, [32, 64, 128]))
 
 print("same numbers via the CLI: semipath bench --semiring max-plus "
       "--algorithm durbin --sizes 128,256 --seeds 3")

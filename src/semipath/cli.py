@@ -217,48 +217,42 @@ def run_solve(inst, algorithm, variant=VARIANT_RECOMPUTE, check=False, count=Fal
     return report
 
 
-def random_yule_walker(sr, n, rng):
-    """Random solvable self-generated instance of size n: (r0, r).
+def _draw(sr, rng, count, toeplitz):
+    """``count`` random entries that keep a generated instance solvable.
 
-    max-plus draws integer entries from [-10, 0] so every pivot closure
-    exists; nonneg-real scales positive draws so that r0 plus twice the
-    tail sum stays below 0.9, keeping the classical solve well posed.  The
-    complete instances accept any values.
+    max-plus draws integers from [-10, 0] so every pivot closure exists.
+    A ``complete`` instance has a total closure, so any ``sr.sample`` draw
+    will do.  nonneg-real draws ``rng.random()``; for a Toeplitz column
+    (``toeplitz``) it scales positive draws so that the first entry plus
+    twice the rest stays below 0.9, keeping the classical solve well posed.
     """
-    name = sr.name
-    if name == "max-plus":
-        vals = [rng.randint(-10, 0) for _ in range(n + 1)]
-    elif name in ("max-plus-complete", "max-min"):
-        vals = [rng.randint(-10, 10) for _ in range(n + 1)]
-    elif name == "boolean":
-        vals = [rng.randint(0, 1) for _ in range(n + 1)]
-    elif name == "nonneg-real":
-        raw = [rng.random() + 1e-3 for _ in range(n + 1)]
-        total = raw[0] + 2 * sum(raw[1:])
-        scale = rng.uniform(0.2, 0.85) / total
-        vals = [v * scale for v in raw]
-    else:
-        raise IncompatibleRequest(f"no instance generator for {name}")
+    if sr.name == "max-plus":
+        return [rng.randint(-10, 0) for _ in range(count)]
+    if sr.complete:
+        return [sr.sample(rng) for _ in range(count)]
+    if sr.name != "nonneg-real":
+        raise IncompatibleRequest(f"no instance generator for {sr.name}")
+    if not toeplitz:
+        return [rng.random() for _ in range(count)]
+    raw = [rng.random() + 1e-3 for _ in range(count)]
+    scale = rng.uniform(0.2, 0.85) / (raw[0] + 2 * sum(raw[1:]))
+    return [v * scale for v in raw]
+
+
+def random_yule_walker(sr, n, rng):
+    """Random solvable self-generated instance of size n >= 0: (r0, r)."""
+    if n < 0:
+        raise IncompatibleRequest(f"instance size must be at least 0, got {n}")
+    vals = _draw(sr, rng, n + 1, toeplitz=True)
     return vals[0], vals[1:]
 
 
 def random_bellman(sr, n, rng):
-    """Random solvable Bellman instance of size n: (r0, r, b)."""
-    if n == 1:
-        r0, _ = random_yule_walker(sr, 1, rng)
-        r = []
-    else:
-        r0, r = random_yule_walker(sr, n - 1, rng)
-    name = sr.name
-    if name == "max-plus":
-        b = [rng.randint(-10, 0) for _ in range(n)]
-    elif name in ("max-plus-complete", "max-min"):
-        b = [rng.randint(-10, 10) for _ in range(n)]
-    elif name == "boolean":
-        b = [rng.randint(0, 1) for _ in range(n)]
-    else:
-        b = [rng.random() for _ in range(n)]
-    return r0, r, b
+    """Random solvable Bellman instance of size n >= 1: (r0, r, b)."""
+    if n < 1:
+        raise IncompatibleRequest(f"instance size must be at least 1, got {n}")
+    r0, r = random_yule_walker(sr, max(n - 1, 1), rng)
+    return r0, r[:n - 1], _draw(sr, rng, n, toeplitz=False)
 
 
 def run_bench(semiring_name, algorithm, sizes, seeds, variant=VARIANT_RECOMPUTE):

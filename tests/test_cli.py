@@ -1,6 +1,7 @@
 """Instance-file parsing, solve/bench dispatch, exit codes, determinism."""
 
 import json
+import random
 from types import SimpleNamespace
 
 import pytest
@@ -12,9 +13,12 @@ from semipath.cli import (
     encode_instance,
     main,
     parse_instance,
+    random_bellman,
+    random_yule_walker,
     run_bench,
     run_solve,
 )
+from semipath.semirings import REGISTRY, MaxMin
 
 REPORT_KEYS = [
     "add_count", "mul_count", "closure_count", "inverse_count",
@@ -313,3 +317,74 @@ def test_main_bench_typed_error_exit_2(capsys):
                  "--variant", "recursive", "--sizes", "4", "--seeds", "1"])
     assert code == 2
     assert json.loads(capsys.readouterr().err)["error"] == "UnsupportedInstance"
+
+
+# -- instance generators ----------------------------------------------------------
+
+# (instance, n, seed, random_yule_walker, then random_bellman on the same rng,
+#  then the next rng.random()): the exact stream.  The instances behind every
+# seeded `semipath bench` table come from it.
+GENERATOR_STREAM = [
+    ("nonneg-real", 1, 3, (0.07917491139948901, [0.18064797342838124]),
+     (0.07896735545401048, [], [0.013167991554874137]), 0.83746908209646),
+    ("nonneg-real", 3, 11,
+     (0.055139849198654785, [0.06820092473045043, 0.11252376002651591, 0.056753804388944375]),
+     (0.18059510597513964, [0.05698540789943785, 0.1574289231834529],
+      [0.7929768725199526, 0.09412345622921847, 0.3034012626245255]), 0.0906705374918394),
+    ("max-plus", 1, 3, (-7, [-1]), (-2, [], [-5]), 0.9159448117309811),
+    ("max-plus", 3, 11, (-3, [-2, -3, -3]), (-2, [-1, -7], [-8, -2, -3]), 0.6298827202168019),
+    ("max-plus-complete", 1, 3, (-3, [8]), (7, [], [1]), 0.9159448117309811),
+    ("max-plus-complete", 3, 11, (4, [7, 4, 4]), (6, [8, -4], [-5, 6, 5]), 0.6298827202168019),
+    ("max-min", 1, 3, (-3, [8]), (7, [], [1]), 0.9159448117309811),
+    ("max-min", 3, 11, (4, [7, 4, 4]), (6, [8, -4], [-5, 6, 5]), 0.6298827202168019),
+    ("boolean", 1, 3, (0, [0]), (1, [], [0]), 0.6055995301393269),
+    ("boolean", 3, 11, (1, [1, 1, 0]), (0, [1, 0], [0, 1, 1]), 0.14179512925945614),
+]
+
+
+@pytest.mark.parametrize("name,n,seed,yule_walker,bellman,tail", GENERATOR_STREAM)
+@pytest.mark.parametrize("counted", [False, True])
+def test_generator_stream_is_pinned(name, n, seed, yule_walker, bellman, tail, counted):
+    sr = sp.get_semiring(name)
+    if counted:
+        sr = sp.CountingSemiring(sr)
+    rng = random.Random(seed)
+    assert random_yule_walker(sr, n, rng) == yule_walker
+    assert random_bellman(sr, n, rng) == bellman
+    assert rng.random() == tail
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_generator_sizes_out_of_range_raise_typed_errors(name):
+    sr = sp.get_semiring(name)
+    rng = random.Random(0)
+    r0, r = random_yule_walker(sr, 0, rng)
+    assert sr.contains(r0) and r == []
+    with pytest.raises(sp.IncompatibleRequest):
+        random_yule_walker(sr, -1, rng)
+    with pytest.raises(sp.IncompatibleRequest):
+        random_bellman(sr, 0, rng)
+    with pytest.raises(sp.IncompatibleRequest):
+        random_bellman(sr, -3, rng)
+
+
+def test_generator_rejects_an_instance_without_a_draw_rule():
+    class Plain(sp.Semiring):
+        name = "plain"
+
+    with pytest.raises(sp.IncompatibleRequest, match="no instance generator"):
+        random_yule_walker(Plain(), 3, random.Random(0))
+
+
+def test_bench_runs_a_newly_registered_complete_semiring(monkeypatch):
+    class Bottleneck(MaxMin):
+        name = "bottleneck"
+
+    monkeypatch.setitem(REGISTRY, "bottleneck", Bottleneck())
+    plugged = run_bench("bottleneck", "levinson", [2, 4, 8], 2)
+    reference = run_bench("max-min", "levinson", [2, 4, 8], 2)
+    for table in (plugged, reference):
+        for row in table["rows"]:
+            row.pop("elapsed")
+    assert plugged["semiring"] == "bottleneck"
+    assert plugged["rows"] == reference["rows"]
