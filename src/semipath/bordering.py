@@ -6,9 +6,9 @@ Two routes:
   leading 1x1 corner, extending the closed submatrix by one row and column
   per step.  The running closure is kept and updated in place of being
   recomputed, which makes the total cost cubic in n.
-  ``_border_step`` extends a solution by one entry; the Toeplitz solvers
-  take the same step with the reversed self-generated solution in place
-  of the closure column.
+  The solution grows one entry per step through the instance's
+  ``border_step`` kernel; the Toeplitz solvers take the same step with the
+  reversed self-generated solution in place of the closure column.
 * ``series_closure`` accumulates the partial sums I + A + A^2 + ... until
   they stop changing.  It is the brute-force oracle the structured solvers
   are verified against.
@@ -73,23 +73,6 @@ def _star(sr, value, step):
     return star
 
 
-def _border_step(sr, z, h, p, rhs_k, star):
-    """Extend z, which solves the leading k-by-k system (k = len(z)), by one
-    entry for a right-hand side whose next entry is rhs_k.
-
-    h is the new row left of the diagonal, p = C g the leading closure times
-    the new column above it, and star the new corner's starred pivot.  The
-    new entry is star * (h . z + rhs_k) and each z[j] gains p[j] times it.
-    Returns the extended list and the new entry.
-    """
-    if z:
-        rhs_k = sr.add(sr.dot(h, z), rhs_k)
-    new = sr.mul(star, rhs_k)
-    extended = [sr.add(zj, sr.mul(pj, new)) for zj, pj in zip(z, p)]
-    extended.append(new)
-    return extended, new
-
-
 def _bordering_steps(sr, rows):
     """Grow the closure C of the leading k-by-k block of ``rows`` for k = 1..n.
 
@@ -145,7 +128,7 @@ def bordering_solve(A, b):
     bs = _rhs_values(A, b)
     x = []
     for (_, h, p, u), rhs_k in zip(_bordering_steps(sr, A.to_rows()), bs):
-        x, _ = _border_step(sr, x, h, p, rhs_k, u)
+        x, _ = sr.border_step(x, h, p, rhs_k, u)
     return Matrix.column(x, sr)
 
 

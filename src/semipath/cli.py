@@ -9,7 +9,8 @@ Commands:
 * ``semirings`` list the registered instance names.
 
 Exit codes: 0 success, 2 parse/request error, 3 solver hit an undefined
-scalar operation (or a non-stabilizing series), 4 residual check failed.
+scalar operation, a non-stabilizing series or a solution entry outside the
+carrier, 4 residual check failed.
 """
 
 import argparse
@@ -25,6 +26,7 @@ from .errors import (
     BadSentinel,
     IncompatibleRequest,
     NotStabilized,
+    OutsideCarrier,
     ParseError,
     SemipathError,
     SolverUndefined,
@@ -188,7 +190,8 @@ def run_solve(inst, algorithm, variant=VARIANT_RECOMPUTE, check=False, count=Fal
     operation counts come from a second, untimed solve through a
     CountingSemiring, whose wrapper calls would otherwise inflate the time.
     The residual check (when requested) runs on the unwrapped instance so
-    operation counts reflect the solve alone.
+    operation counts reflect the solve alone.  A solution entry outside
+    the carrier (a float overflow) raises OutsideCarrier before the check.
     """
     if algorithm not in ALGORITHMS:
         raise IncompatibleRequest(f"unknown algorithm {algorithm!r}")
@@ -201,6 +204,11 @@ def run_solve(inst, algorithm, variant=VARIANT_RECOMPUTE, check=False, count=Fal
     started = time.perf_counter()
     solution = _solve(base, inst, algorithm, variant)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
+    for i, v in enumerate(solution):
+        if not base.contains(v):
+            raise OutsideCarrier(
+                None, f"solution entry {i} is {v!r}, outside the {base.name} carrier"
+            )
     counter = OpCounter()
     if count:
         _solve(CountingSemiring(base, counter), inst, algorithm, variant)
@@ -369,7 +377,7 @@ def main(argv=None):
         return _fail(exc, EXIT_UNDEFINED)
     except SemipathError as exc:
         return _fail(exc, EXIT_REQUEST)
-    print(json.dumps(report))
+    print(json.dumps(report, allow_nan=False))
     if args.command == "solve" and args.check and not report["residual_ok"]:
         return EXIT_RESIDUAL
     return EXIT_OK

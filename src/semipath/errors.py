@@ -37,6 +37,13 @@ class InverseUndefined(SolverUndefined):
     """A multiplicative inverse needed by the recursion does not exist."""
 
 
+class OutsideCarrier(SolverUndefined):
+    """A solution entry is not a member of the carrier: a float overflowed
+    to inf, or a NaN followed from one.  The check runs on the finished
+    solution, so ``step`` is None and the message names the first such entry.
+    """
+
+
 class NotStabilized(SemipathError):
     """Partial closure sums did not reach a fixed point within the term budget."""
 

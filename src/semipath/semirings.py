@@ -20,8 +20,10 @@ operations, not the values.
 """
 
 import math
+import operator
 import random
 from dataclasses import dataclass
+from functools import reduce
 
 from .errors import ShapeMismatch, UnknownSemiring, UnsupportedInstance
 
@@ -34,6 +36,12 @@ FLOAT_REL_TOL = 1e-10
 
 def _is_number(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool) and v == v
+
+
+def _check_dot(xs, ys):
+    """ShapeMismatch unless xs and ys have one length k >= 1."""
+    if not len(xs) or len(ys) != len(xs):
+        raise ShapeMismatch(f"dot product of lengths {len(xs)} and {len(ys)}")
 
 
 class Semiring:
@@ -77,14 +85,31 @@ class Semiring:
         Exactly k ``mul`` and k - 1 ``add`` calls go through ``self``, so a
         wrapper that overrides them, such as CountingSemiring, sees each one.
         """
-        k = len(xs)
-        if k == 0 or len(ys) != k:
-            raise ShapeMismatch(f"dot product of lengths {k} and {len(ys)}")
+        _check_dot(xs, ys)
         add, mul = self.add, self.mul
         acc = mul(xs[0], ys[0])
-        for i in range(1, k):
+        for i in range(1, len(xs)):
             acc = add(acc, mul(xs[i], ys[i]))
         return acc
+
+    def border_step(self, z, h, p, rhs_k, star):
+        """Extend z, which solves a leading k-by-k system (k = len(z)), by one
+        entry for a right-hand side whose next entry is rhs_k.
+
+        h is the new row left of the diagonal, p the leading closure times
+        the new column above it, and star the new corner's starred pivot.
+        The new entry is star * (h . z + rhs_k), the dot skipped for empty
+        z, and each z[j] gains p[j] times it.  Returns the extended list and
+        the new entry.  Exactly 2k + 1 ``mul`` and 2k ``add`` calls go
+        through ``self``; instance overrides return the same objects.
+        """
+        add, mul = self.add, self.mul
+        if z:
+            rhs_k = add(self.dot(h, z), rhs_k)
+        new = mul(star, rhs_k)
+        extended = [add(zj, mul(pj, new)) for zj, pj in zip(z, p)]
+        extended.append(new)
+        return extended, new
 
     def mul_inverse(self, a):
         """Return b with mul(a, b) = one, or None when a is not invertible."""
@@ -159,6 +184,17 @@ class NonNegReal(Semiring):
     def mul(self, a, b):
         return a * b
 
+    def border_step(self, z, h, p, rhs_k, star):
+        # reduce is the generic left fold; sum() starts at 0 (0 + -0.0 is
+        # 0.0) and is compensated for floats from Python 3.12 on
+        if z:
+            _check_dot(h, z)
+            rhs_k = reduce(operator.add, map(operator.mul, h, z)) + rhs_k
+        new = star * rhs_k
+        extended = [zj + pj * new for zj, pj in zip(z, p)]
+        extended.append(new)
+        return extended, new
+
     def closure(self, a):
         if a >= self.one:
             return None
@@ -203,6 +239,18 @@ class MaxPlus(Semiring):
     def mul(self, a, b):
         return a + b
 
+    def border_step(self, z, h, p, rhs_k, star):
+        # max keeps the first of equal items, as add keeps its left operand;
+        # the two differ only on NaN, which is outside the carrier
+        if z:
+            _check_dot(h, z)
+            acc = max(map(operator.add, h, z))
+            rhs_k = acc if acc >= rhs_k else rhs_k
+        new = star + rhs_k
+        extended = [zj if zj >= (t := pj + new) else t for zj, pj in zip(z, p)]
+        extended.append(new)
+        return extended, new
+
     def closure(self, a):
         return self.one if a <= self.one else None
 
@@ -233,6 +281,9 @@ class MaxPlusComplete(MaxPlus):
     name = "max-plus-complete"
     complete = True
     has_inverses = False
+
+    # MaxPlus.border_step adds with IEEE +, which gives NaN for -inf + inf
+    border_step = Semiring.border_step
 
     def mul(self, a, b):
         if a == NEG_INF or b == NEG_INF:
@@ -276,6 +327,17 @@ class MaxMin(Semiring):
     def mul(self, a, b):
         return a if a <= b else b
 
+    def border_step(self, z, h, p, rhs_k, star):
+        if z:
+            _check_dot(h, z)
+            acc = max([hi if hi <= zi else zi for hi, zi in zip(h, z)])
+            rhs_k = acc if acc >= rhs_k else rhs_k
+        new = star if star <= rhs_k else rhs_k
+        extended = [zj if zj >= (t := pj if pj <= new else new) else t
+                    for zj, pj in zip(z, p)]
+        extended.append(new)
+        return extended, new
+
     def closure(self, a):
         return self.one
 
@@ -311,6 +373,16 @@ class Boolean(Semiring):
 
     def mul(self, a, b):
         return 1 if a and b else 0
+
+    def border_step(self, z, h, p, rhs_k, star):
+        # on {0, 1} min(a, b) is truthy exactly when a and b both are
+        if z:
+            _check_dot(h, z)
+            rhs_k = 1 if any(map(min, h, z)) or rhs_k else 0
+        new = 1 if star and rhs_k else 0
+        extended = [1 if zj or (pj and new) else 0 for zj, pj in zip(z, p)]
+        extended.append(new)
+        return extended, new
 
     def closure(self, a):
         return 1

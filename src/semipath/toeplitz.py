@@ -6,10 +6,11 @@ tail r[0:n-1] (n = len(r)).  ``levinson`` solves x = T x + b for an
 arbitrary right-hand side.  Both run one recursion, the private ``_steps``
 generator: at each size k it updates the pivot beta, stars it, and extends
 y (the self-generated solution) and, when b is given, x by one entry.  Both
-extensions are the bordering step of ``bordering_solve``: by persymmetry the
-leading closure times the new column is the reversed y, so the closure is
-never carried and the total operation count is quadratic in n rather than
-the cubic cost of the general bordering route.
+extensions are the instance's ``border_step`` kernel, the step
+``bordering_solve`` takes: by persymmetry the leading closure times the new
+column is the reversed y, so the closure is never carried and the total
+operation count is quadratic in n rather than the cubic cost of the general
+bordering route.
 
 The pivot-like scalar beta_k = r0 + r[0:k] . y[0:k] can be either
 recomputed from that dot product every step or updated in constant time
@@ -24,7 +25,7 @@ through the closure inverse of the previous beta.  The three policies:
 
 from dataclasses import dataclass
 
-from .bordering import _border_step, _star
+from .bordering import _star
 from .errors import InverseUndefined, ShapeMismatch, UnsupportedInstance
 
 VARIANT_RECOMPUTE = "recompute"
@@ -119,9 +120,9 @@ def _steps(sr, r0, r, b, variant):
             h, p = r[k - 1::-1], y[::-1]
         bstar = _star(sr, beta, k + 1)
         if b is not None:
-            x, mu = _border_step(sr, x, h, p, b[k], bstar)
+            x, mu = sr.border_step(x, h, p, b[k], bstar)
         if k < len(r):
-            y, alpha = _border_step(sr, y, h, p, r[k], bstar)
+            y, alpha = sr.border_step(y, h, p, r[k], bstar)
         yield SolveState(k=k + 1, y=list(y), alpha=alpha, beta=beta, variant=variant,
                          x=None if x is None else list(x), mu=mu)
 

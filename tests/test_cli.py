@@ -220,6 +220,19 @@ def test_main_solver_undefined_exit_3(tmp_path, capsys):
     assert err["error"] == "ClosureUndefined" and err["step"] == 1
 
 
+def test_main_overflow_is_a_typed_error_exit_3(tmp_path, capsys):
+    # x[0] = 1e308 / (1 - 0.9) overflows to inf; the next step's 0 * inf is NaN
+    path = write(tmp_path, {"semiring": "nonneg-real", "r0": 0.9, "r": [0], "b": [1e308, 0]})
+    code = main(["solve", "--semiring", "nonneg-real", "--algorithm", "levinson",
+                 "--check", "--input", path])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "OutsideCarrier" and err["step"] is None
+    assert err["message"] == "solution entry 0 is nan, outside the nonneg-real carrier"
+
+
 def test_main_series_divergence_exit_3(tmp_path, capsys):
     path = write(tmp_path, {"semiring": "nonneg-real", "r0": 1.5, "r": [], "b": [1.0]})
     code = main(["solve", "--semiring", "nonneg-real", "--algorithm", "series",

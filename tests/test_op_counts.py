@@ -83,6 +83,18 @@ def test_levinson_and_bordering_counts(sr, n):
     assert pair(counter) == BORDERING_CLOSURE[n] and counter.closure_count == n
 
 
+@pytest.mark.parametrize("sr", INSTANCES, ids=lambda s: s.name)
+@pytest.mark.parametrize("k", [0, 1, 2, 7])
+def test_border_step_counts_2k_plus_1_muls_and_2k_adds(sr, k):
+    rng = random.Random(f"border-step:{sr.name}:{k}")
+    z, h, p = (draw(sr, rng, k) for _ in range(3))
+    wrapped, counter = counted(sr)
+    extended, new = wrapped.border_step(z, h, p, sr.one, sr.one)
+    assert len(extended) == k + 1 and extended[-1] is new
+    assert pair(counter) == (2 * k + 1, 2 * k)
+    assert counter.closure_count == counter.inverse_count == 0
+
+
 @pytest.mark.parametrize("k", [1, 2, 7])
 def test_dot_counts_k_muls_and_k_minus_one_adds(k):
     xs, ys = list(range(k)), list(range(-k, 0))

@@ -214,6 +214,60 @@ def test_contains(sr, value, expected):
     assert sr.contains(value) is expected
 
 
+# -- border_step kernel -----------------------------------------------------------
+
+# carrier values per instance: every sentinel, -0.0, an int beside an equal
+# float (ties show which operand a kernel keeps) and, for nonneg-real, sums
+# whose float result depends on the order in which they are added
+KERNEL_VALUES = {
+    "nonneg-real": [0, 1, 3, 3.0, 0.0, -0.0, 0.1, 0.2, 0.3, 0.7, 1e16, 2.5e-8],
+    "max-plus": [NEG_INF, 0, 0.0, -0.0, 3, 3.0, -2, -2.5, -0.1, -7],
+    "max-plus-complete": [NEG_INF, POS_INF, 0, 0.0, -0.0, 3, 3.0, -2, -2.5, -7],
+    "max-min": [NEG_INF, POS_INF, 0, 0.0, -0.0, 3, 3.0, -2, -2.5, 7],
+    "boolean": [0, 1, 0.0, 1.0, True, False],
+}
+
+
+def typed(values):
+    return [(type(v), repr(v)) for v in values]
+
+
+@pytest.mark.parametrize("sr", ALL, ids=lambda s: s.name)
+def test_border_step_matches_the_generic_step(sr):
+    pool = KERNEL_VALUES[sr.name]
+    assert all(s in pool for s in sr.sentinels())
+    rng = random.Random(f"border-step:{sr.name}")
+    for _ in range(2000):
+        k = rng.randint(0, 9)
+        z, h, p = ([rng.choice(pool) for _ in range(k)] for _ in range(3))
+        rhs_k, star = rng.choice(pool), rng.choice(pool)
+        got, new = sr.border_step(list(z), h, p, rhs_k, star)
+        want, want_new = sp.Semiring.border_step(sr, list(z), h, p, rhs_k, star)
+        assert typed(got + [new]) == typed(want + [want_new]), (z, h, p, rhs_k, star)
+
+
+@pytest.mark.parametrize("sr", ALL, ids=lambda s: s.name)
+def test_border_step_length_mismatch_matches_the_generic_step(sr):
+    z = [sr.one, sr.zero]
+    for h in ([], [sr.one], [sr.one] * 3):
+        with pytest.raises(sp.ShapeMismatch) as got:
+            sr.border_step(list(z), h, z, sr.one, sr.one)
+        with pytest.raises(sp.ShapeMismatch) as want:
+            sp.Semiring.border_step(sr, list(z), h, z, sr.one, sr.one)
+        assert str(got.value) == str(want.value)
+    # an empty z needs no dot product, so h is not read
+    assert sr.border_step([], [sr.one], (), sr.one, sr.one) == ([sr.one], sr.one)
+
+
+def test_generic_kernels_where_counts_or_semantics_need_them():
+    assert all(type(sr).dot is sp.Semiring.dot for sr in ALL)
+    assert sp.CountingSemiring.border_step is sp.Semiring.border_step
+    # IEEE -inf + inf is NaN, so max-plus-complete cannot use MaxPlus's kernel
+    assert type(MPC).border_step is sp.Semiring.border_step
+    assert MPC.border_step([NEG_INF], [POS_INF], [POS_INF], NEG_INF, 0) == (
+        [NEG_INF, NEG_INF], NEG_INF)
+
+
 # -- counting wrapper -------------------------------------------------------------
 
 def test_counting_wrapper_is_observationally_identical():
