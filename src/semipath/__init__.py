@@ -20,6 +20,7 @@ from .errors import (
     InstanceMismatch,
     InverseUndefined,
     NotStabilized,
+    OutsideCarrier,
     ParseError,
     SemipathError,
     ShapeMismatch,
@@ -97,6 +98,7 @@ __all__ = [
     "SolverUndefined",
     "ClosureUndefined",
     "InverseUndefined",
+    "OutsideCarrier",
     "NotStabilized",
     "EnumerationTooLarge",
     "ParseError",

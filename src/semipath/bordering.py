@@ -25,6 +25,7 @@ from .errors import (
     EnumerationTooLarge,
     InstanceMismatch,
     NotStabilized,
+    OutsideCarrier,
     ShapeMismatch,
     UnsupportedInstance,
 )
@@ -71,6 +72,16 @@ def _star(sr, value, step):
     if star is None:
         raise ClosureUndefined(step, f"closure undefined in {sr.name} at size {step}")
     return star
+
+
+def _check_carrier(sr, values, step):
+    """OutsideCarrier naming ``step`` at the first entry of ``values`` that is
+    not in the carrier: a float that overflowed to inf, or a NaN from one."""
+    for v in values:
+        if not sr.contains(v):
+            raise OutsideCarrier(
+                step, f"solution entry {v!r} at size {step} is outside the {sr.name} carrier"
+            )
 
 
 def _bordering_steps(sr, rows):
@@ -121,22 +132,27 @@ def bordering_solve(A, b):
     ``b`` may be an n-by-1 matrix or a plain sequence; the result is an
     n-by-1 matrix over A's instance.  The closure of the leading submatrix
     is carried along, so the cost is the same cubic bound as
-    ``bordering_closure``.
+    ``bordering_closure``.  Raises ClosureUndefined like the closure, and
+    OutsideCarrier (with the subsystem size) when an entry leaves the carrier.
     """
     _require_square(A)
     sr = A.semiring
     bs = _rhs_values(A, b)
     x = []
     for (_, h, p, u), rhs_k in zip(_bordering_steps(sr, A.to_rows()), bs):
-        x, _ = sr.border_step(x, h, p, rhs_k, u)
+        x, new = sr.border_step(x, h, p, rhs_k, u)
+        _check_carrier(sr, (new,), len(x))
+    # an update can overflow while every new entry stays finite
+    _check_carrier(sr, x, len(x))
     return Matrix.column(x, sr)
 
 
 def _float_changed(old, new):
-    if new == old:
-        return False
+    # before the equality: two overflowed partial sums are equal but not stable
     if math.isinf(new) or math.isnan(new):
         return True
+    if new == old:
+        return False
     return abs(new - old) > SERIES_REL_TOL * abs(old)
 
 
@@ -147,7 +163,8 @@ def series_closure(A, max_terms=None):
     fixed point (exact equality for exact carriers; for floating-point
     carriers, entrywise relative change below 1e-12 for two consecutive
     terms).  ``max_terms`` defaults to 4n + 50; exceeding it raises
-    NotStabilized, the signal for a divergent star.
+    NotStabilized, the signal for a divergent star.  A float sum that
+    overflowed to inf never counts as stable.
     """
     _require_square(A)
     sr = A.semiring

@@ -39,8 +39,9 @@ class InverseUndefined(SolverUndefined):
 
 class OutsideCarrier(SolverUndefined):
     """A solution entry is not a member of the carrier: a float overflowed
-    to inf, or a NaN followed from one.  The check runs on the finished
-    solution, so ``step`` is None and the message names the first such entry.
+    to inf, or a NaN followed from one.  The solvers test each new entry at
+    its size and the finished solution at the last size, so ``step`` is the
+    size at which the first such entry appeared, and the message names it.
     """
 
 

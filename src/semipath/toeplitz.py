@@ -25,7 +25,7 @@ through the closure inverse of the previous beta.  The three policies:
 
 from dataclasses import dataclass
 
-from .bordering import _star
+from .bordering import _check_carrier, _star
 from .errors import InverseUndefined, ShapeMismatch, UnsupportedInstance
 
 VARIANT_RECOMPUTE = "recompute"
@@ -121,8 +121,13 @@ def _steps(sr, r0, r, b, variant):
         bstar = _star(sr, beta, k + 1)
         if b is not None:
             x, mu = sr.border_step(x, h, p, b[k], bstar)
+            _check_carrier(sr, (mu,), k + 1)
         if k < len(r):
             y, alpha = sr.border_step(y, h, p, r[k], bstar)
+            _check_carrier(sr, (alpha,), k + 1)
+        if k == n - 1:
+            # an update can overflow while every new entry stays finite
+            _check_carrier(sr, y if b is None else x, n)
         yield SolveState(k=k + 1, y=list(y), alpha=alpha, beta=beta, variant=variant,
                          x=None if x is None else list(x), mu=mu)
 
@@ -142,7 +147,9 @@ def durbin(semiring, r0, r, variant=VARIANT_RECOMPUTE):
 
     Returns the solution as a list of length len(r).  Raises
     ClosureUndefined or InverseUndefined (with the failing subsystem size)
-    when the recursion hits a scalar without the needed star or inverse.
+    when the recursion hits a scalar without the needed star or inverse,
+    and OutsideCarrier (with the size) when a float overflow puts an entry
+    outside the carrier.
     """
     state = None
     for state in durbin_steps(semiring, r0, r, variant):

@@ -151,6 +151,20 @@ def test_solve_validation():
         sp.bordering_solve(Matrix.zeros(2, 3, MP), [0, 0])
 
 
+def test_solve_overflow_raises_outside_carrier_at_its_size():
+    # x[0] = 1e308 is finite; at size 2 the new entry 1e308 + 1e308 overflows
+    A = Matrix.from_rows([[-1, NEG_INF], [1e308, -1]], MP)
+    with pytest.raises(sp.OutsideCarrier) as exc:
+        sp.bordering_solve(A, [1e308, 1e308])
+    assert exc.value.step == 2
+    assert str(exc.value) == "solution entry inf at size 2 is outside the max-plus carrier"
+    # the new entry 1e10 stays finite; the update x[0] + 1e308 * 1e10 does not
+    A = Matrix.from_rows([[0, 1e308], [0, 0]], NN)
+    with pytest.raises(sp.OutsideCarrier) as exc:
+        sp.bordering_solve(A, [1, 1e10])
+    assert exc.value.step == 2
+
+
 # -- series stopping rules ----------------------------------------------------
 
 def test_series_converges_for_contracting_float():
@@ -175,6 +189,20 @@ def test_series_not_stabilized_signals_divergence():
     assert exc.value.terms == 54  # 4 * 1 + 50
     with pytest.raises(sp.NotStabilized):
         sp.series_closure(Matrix.from_rows([[1]], MP))
+
+
+def test_series_overflow_is_not_stabilized():
+    # the partial sums reach inf near 1024 terms and then stop changing
+    with pytest.raises(sp.NotStabilized) as exc:
+        sp.series_closure(Matrix.from_rows([[2.0]], NN), max_terms=1100)
+    assert exc.value.terms == 1100
+
+
+def test_series_of_nilpotent_float_matrix_stops_on_exact_equality():
+    A = Matrix.from_rows([[0, 0.5, 0.25], [0, 0, 0.5], [0, 0, 0]], NN)
+    star = sp.series_closure(A)
+    assert star.equals(sp.bordering_closure(A))
+    assert star.to_rows() == [[1.0, 0.5, 0.5], [0.0, 1.0, 0.5], [0.0, 0.0, 1.0]]
 
 
 def test_series_stabilizes_within_n_terms_for_nonpositive_maxplus():

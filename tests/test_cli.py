@@ -221,7 +221,7 @@ def test_main_solver_undefined_exit_3(tmp_path, capsys):
 
 
 def test_main_overflow_is_a_typed_error_exit_3(tmp_path, capsys):
-    # x[0] = 1e308 / (1 - 0.9) overflows to inf; the next step's 0 * inf is NaN
+    # x[0] = 1e308 / (1 - 0.9) overflows to inf at size 1
     path = write(tmp_path, {"semiring": "nonneg-real", "r0": 0.9, "r": [0], "b": [1e308, 0]})
     code = main(["solve", "--semiring", "nonneg-real", "--algorithm", "levinson",
                  "--check", "--input", path])
@@ -229,8 +229,21 @@ def test_main_overflow_is_a_typed_error_exit_3(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     err = json.loads(captured.err)
-    assert err["error"] == "OutsideCarrier" and err["step"] is None
-    assert err["message"] == "solution entry 0 is nan, outside the nonneg-real carrier"
+    assert err["error"] == "OutsideCarrier" and err["step"] == 1
+    assert err["message"] == "solution entry inf at size 1 is outside the nonneg-real carrier"
+
+
+@pytest.mark.parametrize("algorithm", ["levinson", "bordering", "series"])
+def test_main_overflow_at_size_2_exit_3_for_each_rhs_algorithm(tmp_path, capsys, algorithm):
+    # x = (I - T)^-1 b doubles b = 1e308 to inf; the series stays finite
+    # until its product with b
+    doc = {"semiring": "nonneg-real", "r0": 0.25, "r": [0.25], "b": [1e308, 1e308]}
+    path = write(tmp_path, doc)
+    code = main(["solve", "--semiring", "nonneg-real", "--algorithm", algorithm,
+                 "--check", "--input", path])
+    assert code == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "OutsideCarrier" and err["step"] == 2
 
 
 def test_main_series_divergence_exit_3(tmp_path, capsys):
@@ -296,11 +309,30 @@ def test_bench_deterministic_given_seed(monkeypatch):
     monkeypatch.setenv("SEMIPATH_SEED", "7")
     t1 = run_bench("nonneg-real", "levinson", [4, 8], seeds=3)
     t2 = run_bench("nonneg-real", "levinson", [4, 8], seeds=3)
-    for table in (t1, t2):
-        for row in table["rows"]:
-            row.pop("elapsed")
     assert json.dumps(t1) == json.dumps(t2)
     assert t1["seed"] == 7
+
+
+def test_bench_solves_each_instance_once_through_a_counter(monkeypatch):
+    solved = []
+
+    def recording_solve(sr, *args):
+        solved.append(sr)
+        return solve(sr, *args)
+
+    def no_clock():
+        raise AssertionError("run_bench read the clock")
+
+    solve = cli._solve
+    monkeypatch.setattr(cli, "_solve", recording_solve)
+    monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=no_clock))
+    table = run_bench("max-plus", "levinson", [4, 8], 3)
+    assert len(solved) == 6
+    assert all(isinstance(sr, sp.CountingSemiring) for sr in solved)
+    assert [list(row) for row in table["rows"]] == [
+        ["size", "seeds", "add_count", "mul_count", "closure_count", "inverse_count",
+         "mul_ratio"],
+    ] * 2
 
 
 def test_bench_seed_env_changes_instances(monkeypatch):
@@ -396,8 +428,5 @@ def test_bench_runs_a_newly_registered_complete_semiring(monkeypatch):
     monkeypatch.setitem(REGISTRY, "bottleneck", Bottleneck())
     plugged = run_bench("bottleneck", "levinson", [2, 4, 8], 2)
     reference = run_bench("max-min", "levinson", [2, 4, 8], 2)
-    for table in (plugged, reference):
-        for row in table["rows"]:
-            row.pop("elapsed")
     assert plugged["semiring"] == "bottleneck"
     assert plugged["rows"] == reference["rows"]

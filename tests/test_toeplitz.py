@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import semipath as sp
 from semipath import Matrix, NEG_INF, POS_INF, SymToeplitz
+from semipath.cli import random_bellman, random_yule_walker
 
 MP = sp.get_semiring("max-plus")
 MPC = sp.get_semiring("max-plus-complete")
@@ -179,6 +180,21 @@ def test_levinson_closure_undefined_step():
     assert exc.value.step == 2
 
 
+def test_overflow_raises_outside_carrier_at_its_size():
+    # x[0] = y[0] = 1e308 / (1 - 0.9) overflows to inf at size 1
+    with pytest.raises(sp.OutsideCarrier) as exc:
+        sp.levinson(NN, 0.9, [0], [1e308, 0])
+    assert exc.value.step == 1
+    assert str(exc.value) == "solution entry inf at size 1 is outside the nonneg-real carrier"
+    with pytest.raises(sp.OutsideCarrier) as exc:
+        sp.durbin(NN, 0.9, [1e308, 0])
+    assert exc.value.step == 1
+    # mu = 1e308 stays finite at size 2; the update of x[0] to 2e308 does not
+    with pytest.raises(sp.OutsideCarrier) as exc:
+        sp.levinson(NN, 0, [0.5], [1.5e308, 0])
+    assert exc.value.step == 2
+
+
 # -- pivot update and variants ---------------------------------------------------
 
 def test_beta_update_examples():
@@ -280,6 +296,40 @@ def test_beta_consistent_between_variants():
         prev = sp.durbin(MP, r0, r[:k])
         expect = MP.add(r0, max(MP.mul(r[i], prev[i]) for i in range(k)))
         assert s.beta == expect
+
+
+def _same_value(sr, a, b):
+    if sr.approximate:
+        return sr.eq(a, b)
+    return type(a) is type(b) and repr(a) == repr(b)
+
+
+@pytest.mark.parametrize("name", sorted(sp.REGISTRY))
+def test_pivot_update_identity_holds_on_every_step(name):
+    # beta_{k+1} = beta_k + s_k alpha_k, where s_k is the value the size-k
+    # step starred: s_k = r[k-2::-1] . y_{k-1} + r[k-1], s_1 = r[0]
+    sr = sp.get_semiring(name)
+    variants = [v for v in sp.VARIANTS if sr.has_inverses or v != "recursive"]
+    rng = random.Random(f"pivot:{name}")
+    pairs = 0
+    for variant in variants:
+        for n in range(1, 41):
+            r0, r = random_yule_walker(sr, n, rng)
+            bl0, bl_r, b = random_bellman(sr, n, rng)
+            for r_used, states in (
+                (r, list(sp.durbin_steps(sr, r0, r, variant))),
+                (bl_r, list(sp.levinson_steps(sr, bl0, bl_r, b, variant))),
+            ):
+                for k in range(1, len(states)):
+                    prev, cur = states[k - 1], states[k]
+                    if k == 1:
+                        s = r_used[0]
+                    else:
+                        s = sr.add(sr.dot(r_used[k - 2::-1], states[k - 2].y), r_used[k - 1])
+                    expect = sr.add(prev.beta, sr.mul(s, prev.alpha))
+                    assert _same_value(sr, cur.beta, expect), (variant, n, k)
+                    pairs += 1
+    assert pairs == len(variants) * 2 * sum(range(40))
 
 
 def test_levinson_states_carry_both_solutions():
