@@ -46,8 +46,8 @@ print()
 # -- pivot-update variants -----------------------------------------------------------
 
 # The pivot beta_k = r0 + r[:k].y[:k] can be recomputed (default) or updated
-# in constant time through (beta*)^-1; both give the same solution when the
-# inverses exist.
+# in constant time as beta + s alpha, where s is the sum the previous step
+# starred; both give the same solution.
 rng = np.random.default_rng(0)
 raw = rng.uniform(0.01, 1.0, size=9)
 scale = 0.8 / (raw[0] + 2 * raw[1:].sum())
@@ -57,12 +57,13 @@ y1 = sp.durbin(NN, r0, r, variant="recursive")
 print("variant agreement on a random nonneg-real instance:",
       max(abs(a - b) for a, b in zip(y1, y2)))
 
-# On max-plus-complete a positive pivot has star +inf, which has no inverse;
-# the fallback policy recomputes only at those steps.
-MPC = sp.get_semiring("max-plus-complete")
-print("fallback == recompute on max-plus-complete:",
-      sp.durbin(MPC, 1, [1, -2], variant="fallback")
-      == sp.durbin(MPC, 1, [1, -2], variant="recompute"))
+# The update needs no inverse: max-min inverts only its unit +inf, and the
+# recursive pivot still runs there.
+MM = sp.get_semiring("max-min")
+r0, r = 3, [5, -2, 7, 1]
+y = sp.durbin(MM, r0, r, variant="recursive")
+print(f"max-min durbin, recursive pivot: r0={r0}, r={r}  ->  y={y}")
+print("  recursive == recompute:", y == sp.durbin(MM, r0, r))
 
 # Divergent instance: max-plus has no star for positive pivots at all.
 try:

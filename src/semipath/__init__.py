@@ -18,7 +18,6 @@ from .errors import (
     EnumerationTooLarge,
     IncompatibleRequest,
     InstanceMismatch,
-    InverseUndefined,
     NotStabilized,
     OutsideCarrier,
     ParseError,
@@ -97,7 +96,6 @@ __all__ = [
     "UnsupportedInstance",
     "SolverUndefined",
     "ClosureUndefined",
-    "InverseUndefined",
     "OutsideCarrier",
     "NotStabilized",
     "EnumerationTooLarge",

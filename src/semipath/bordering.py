@@ -66,8 +66,13 @@ def _rhs_values(A, b):
 
 
 def _star(sr, value, step):
-    """The closure of ``value``, or ClosureUndefined naming ``step``, the
-    size of the leading subsystem that needed it."""
+    """The closure of ``value``, or an error naming ``step``, the size of the
+    leading subsystem that needed it: OutsideCarrier when ``value`` left the
+    carrier, ClosureUndefined when its star does not exist."""
+    if not sr.contains(value):
+        raise OutsideCarrier(
+            step, f"pivot {value!r} at size {step} is outside the {sr.name} carrier"
+        )
     star = sr.closure(value)
     if star is None:
         raise ClosureUndefined(step, f"closure undefined in {sr.name} at size {step}")
@@ -117,8 +122,9 @@ def bordering_closure(A):
     """Closure A* of a square matrix, built corner-outwards.
 
     Raises ClosureUndefined (with the failing subsystem size) when some step
-    needs a scalar star that does not exist in the instance.  When it
-    succeeds the result satisfies A* = I + A A* = I + A* A.
+    needs a scalar star that does not exist in the instance, and
+    OutsideCarrier when a float overflow puts that scalar outside the
+    carrier.  When it succeeds the result satisfies A* = I + A A* = I + A* A.
     """
     _require_square(A)
     for C, _, _, _ in _bordering_steps(A.semiring, A.to_rows()):
@@ -140,7 +146,7 @@ def bordering_solve(A, b):
     bs = _rhs_values(A, b)
     x = []
     for (_, h, p, u), rhs_k in zip(_bordering_steps(sr, A.to_rows()), bs):
-        x, new = sr.border_step(x, h, p, rhs_k, u)
+        x, new, _ = sr.border_step(x, h, p, rhs_k, u)
         _check_carrier(sr, (new,), len(x))
     # an update can overflow while every new entry stays finite
     _check_carrier(sr, x, len(x))
@@ -163,8 +169,9 @@ def series_closure(A, max_terms=None):
     fixed point (exact equality for exact carriers; for floating-point
     carriers, entrywise relative change below 1e-12 for two consecutive
     terms).  ``max_terms`` defaults to 4n + 50; exceeding it raises
-    NotStabilized, the signal for a divergent star.  A float sum that
-    overflowed to inf never counts as stable.
+    NotStabilized, the signal for a divergent star.  A sum that overflowed,
+    to inf on a float carrier or outside an exact one, never counts as
+    stable.
     """
     _require_square(A)
     sr = A.semiring
@@ -187,7 +194,7 @@ def series_closure(A, max_terms=None):
             stable_run = 0 if changed else stable_run + 1
             if stable_run >= SERIES_STABLE_RUN:
                 return S_next
-        elif S_next.data == S.data:
+        elif S_next.data == S.data and all(map(sr.contains, S.data)):
             return S_next
         S = S_next
     raise NotStabilized(

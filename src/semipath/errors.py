@@ -33,15 +33,12 @@ class ClosureUndefined(SolverUndefined):
     """A scalar closure needed by the recursion does not exist."""
 
 
-class InverseUndefined(SolverUndefined):
-    """A multiplicative inverse needed by the recursion does not exist."""
-
-
 class OutsideCarrier(SolverUndefined):
-    """A solution entry is not a member of the carrier: a float overflowed
-    to inf, or a NaN followed from one.  The solvers test each new entry at
-    its size and the finished solution at the last size, so ``step`` is the
-    size at which the first such entry appeared, and the message names it.
+    """A pivot or a solution entry is not a member of the carrier: a float
+    overflowed to inf, or a NaN followed from one.  The solvers test each
+    pivot before its star, each new entry at its size and the finished
+    solution at the last size, so ``step`` is the size at which the first
+    such value appeared, and the message names it.
     """
 
 

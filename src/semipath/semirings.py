@@ -98,10 +98,12 @@ class Semiring:
 
         h is the new row left of the diagonal, p the leading closure times
         the new column above it, and star the new corner's starred pivot.
-        The new entry is star * (h . z + rhs_k), the dot skipped for empty
-        z, and each z[j] gains p[j] times it.  Returns the extended list and
-        the new entry.  Exactly 2k + 1 ``mul`` and 2k ``add`` calls go
-        through ``self``; instance overrides return the same objects.
+        The new entry is star * s with s = h . z + rhs_k (s = rhs_k for empty
+        z, where h is not read), and each z[j] gains p[j] times it.  Returns
+        the extended list, the new entry and s, the sum that was starred: the
+        Toeplitz recursion updates its pivot by s times the new entry.
+        Exactly 2k + 1 ``mul`` and 2k ``add`` calls go through ``self``;
+        instance overrides return the same objects.
         """
         add, mul = self.add, self.mul
         if z:
@@ -109,7 +111,7 @@ class Semiring:
         new = mul(star, rhs_k)
         extended = [add(zj, mul(pj, new)) for zj, pj in zip(z, p)]
         extended.append(new)
-        return extended, new
+        return extended, new, rhs_k
 
     def mul_inverse(self, a):
         """Return b with mul(a, b) = one, or None when a is not invertible."""
@@ -193,10 +195,10 @@ class NonNegReal(Semiring):
         new = star * rhs_k
         extended = [zj + pj * new for zj, pj in zip(z, p)]
         extended.append(new)
-        return extended, new
+        return extended, new, rhs_k
 
     def closure(self, a):
-        if a >= self.one:
+        if not a < self.one:  # NaN included
             return None
         if a == self.zero:
             return self.one
@@ -249,7 +251,7 @@ class MaxPlus(Semiring):
         new = star + rhs_k
         extended = [zj if zj >= (t := pj + new) else t for zj, pj in zip(z, p)]
         extended.append(new)
-        return extended, new
+        return extended, new, rhs_k
 
     def closure(self, a):
         return self.one if a <= self.one else None
@@ -336,7 +338,7 @@ class MaxMin(Semiring):
         extended = [zj if zj >= (t := pj if pj <= new else new) else t
                     for zj, pj in zip(z, p)]
         extended.append(new)
-        return extended, new
+        return extended, new, rhs_k
 
     def closure(self, a):
         return self.one
@@ -382,7 +384,7 @@ class Boolean(Semiring):
         new = 1 if star and rhs_k else 0
         extended = [1 if zj or (pj and new) else 0 for zj, pj in zip(z, p)]
         extended.append(new)
-        return extended, new
+        return extended, new, rhs_k
 
     def closure(self, a):
         return 1

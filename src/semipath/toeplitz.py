@@ -12,21 +12,24 @@ column is the reversed y, so the closure is never carried and the total
 operation count is quadratic in n rather than the cubic cost of the general
 bordering route.
 
-The pivot-like scalar beta_k = r0 + r[0:k] . y[0:k] can be either
-recomputed from that dot product every step or updated in constant time
-through the closure inverse of the previous beta.  The three policies:
+The pivot beta_k = r0 + r[0:k] . y[0:k] has two policies:
 
-* ``recompute``  (default) always uses the dot product.
-* ``recursive``  always uses the constant-time update; requires an
-  instance with multiplicative inverses and aborts if one is missing.
-* ``fallback``   tries the constant-time update, silently recomputing at
-  steps where the closure or its inverse does not exist.
+* ``recompute``  (default) recomputes it from that dot product every step;
+  it is the reference the operation-count formulas are pinned against.
+* ``recursive``  updates it in constant time, beta_{k+1} = beta_k + s_k
+  alpha_k, where s_k is the sum the size-k step starred and alpha_k the
+  entry it produced.  The update needs no inverse, so it runs on every
+  instance; where (beta*)^-1 exists it equals the paper's closed form
+  ``beta_update``.
+
+``fallback`` is an alias of ``recursive``: the update cannot fail, so there
+is nothing to fall back from.
 """
 
 from dataclasses import dataclass
 
 from .bordering import _check_carrier, _star
-from .errors import InverseUndefined, ShapeMismatch, UnsupportedInstance
+from .errors import ShapeMismatch
 
 VARIANT_RECOMPUTE = "recompute"
 VARIANT_RECURSIVE = "recursive"
@@ -54,21 +57,18 @@ class SolveState:
     mu: object = None
 
 
-def _check_variant(semiring, variant):
+def _check_variant(variant):
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    if variant == VARIANT_RECURSIVE and not semiring.has_inverses:
-        raise UnsupportedInstance(
-            f"variant 'recursive' needs multiplicative inverses, "
-            f"which {semiring.name} lacks; use 'recompute' or 'fallback'"
-        )
 
 
 def beta_update(semiring, beta_prev, alpha_prev):
-    """Constant-time pivot update: beta + (beta*)^-1 * alpha * alpha.
+    """The paper's pivot update in closed form: beta + (beta*)^-1 * alpha * alpha.
 
     Returns None when the closure of ``beta_prev`` or its inverse is
-    undefined; the caller chooses between recomputing and aborting.
+    undefined.  Where it is defined it equals the inverse-free update
+    beta + s * alpha that the ``recursive`` variant takes, because
+    alpha = beta* s; the solvers never call it.
     """
     bstar = semiring.closure(beta_prev)
     if bstar is None:
@@ -80,28 +80,11 @@ def beta_update(semiring, beta_prev, alpha_prev):
     return semiring.add(beta_prev, semiring.mul(inv, alpha_sq))
 
 
-def _next_beta(sr, variant, r0, r, y, beta_prev, alpha_prev, k):
-    if variant != VARIANT_RECOMPUTE:
-        nb = beta_update(sr, beta_prev, alpha_prev)
-        if nb is not None:
-            return nb
-        if variant == VARIANT_RECURSIVE:
-            # the previous pivot's closure exists (it was starred to build
-            # the current state), so None can only mean a missing inverse
-            raise InverseUndefined(
-                k + 1,
-                f"recursive pivot update impossible at size {k + 1}: "
-                f"closure inverse undefined in {sr.name}",
-            )
-        # fallback: recompute this step the direct way
-    return sr.add(r0, sr.dot(r[:k], y))
-
-
 def _steps(sr, r0, r, b, variant):
     """The recursion behind ``durbin_steps`` and ``levinson_steps``: y/alpha
     is extended while k < len(r), x/mu only when a right-hand side b is given.
     """
-    _check_variant(sr, variant)
+    _check_variant(variant)
     n = len(r) if b is None else len(b)
     if n < 1:
         raise ShapeMismatch("need at least one right-hand-side entry")
@@ -110,20 +93,23 @@ def _steps(sr, r0, r, b, variant):
             f"generator tail must have length {n - 1} for a size-{n} system, got {len(r)}"
         )
 
-    beta, alpha, mu = r0, None, None
+    beta, alpha, s, mu = r0, None, None, None
     y, x = [], None if b is None else []
     h = p = ()
     for k in range(n):
         if k:
-            beta = _next_beta(sr, variant, r0, r, y, beta, alpha, k)
+            if variant == VARIANT_RECOMPUTE:
+                beta = sr.add(r0, sr.dot(r[:k], y))
+            else:
+                beta = sr.add(beta, sr.mul(s, alpha))
             # by persymmetry the closure times the new column is reversed y
             h, p = r[k - 1::-1], y[::-1]
         bstar = _star(sr, beta, k + 1)
         if b is not None:
-            x, mu = sr.border_step(x, h, p, b[k], bstar)
+            x, mu, _ = sr.border_step(x, h, p, b[k], bstar)
             _check_carrier(sr, (mu,), k + 1)
         if k < len(r):
-            y, alpha = sr.border_step(y, h, p, r[k], bstar)
+            y, alpha, s = sr.border_step(y, h, p, r[k], bstar)
             _check_carrier(sr, (alpha,), k + 1)
         if k == n - 1:
             # an update can overflow while every new entry stays finite
@@ -146,10 +132,9 @@ def durbin(semiring, r0, r, variant=VARIANT_RECOMPUTE):
     """Solve y = T y + r where T is generated by (r0, r[:-1]).
 
     Returns the solution as a list of length len(r).  Raises
-    ClosureUndefined or InverseUndefined (with the failing subsystem size)
-    when the recursion hits a scalar without the needed star or inverse,
-    and OutsideCarrier (with the size) when a float overflow puts an entry
-    outside the carrier.
+    ClosureUndefined (with the failing subsystem size) when the recursion
+    hits a pivot without a star, and OutsideCarrier (with the size) when a
+    float overflow puts a pivot or an entry outside the carrier.
     """
     state = None
     for state in durbin_steps(semiring, r0, r, variant):

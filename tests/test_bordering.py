@@ -63,6 +63,15 @@ def test_closure_undefined_reports_step():
     assert exc.value.step == 2
 
 
+def test_closure_pivot_outside_carrier_reports_step():
+    # p = C g = 2 * 1e308 overflows, so the size-2 pivot h . p + 0 is 0 * inf = NaN
+    A = Matrix.from_rows([[0.5, 1e308], [0, 0]], NN)
+    with pytest.raises(sp.OutsideCarrier) as exc:
+        sp.bordering_closure(A)
+    assert exc.value.step == 2
+    assert str(exc.value) == "pivot nan at size 2 is outside the nonneg-real carrier"
+
+
 def test_quasi_inverse_identity_holds_exactly():
     rng = random.Random(11)
     for _ in range(40):
@@ -196,6 +205,9 @@ def test_series_overflow_is_not_stabilized():
     with pytest.raises(sp.NotStabilized) as exc:
         sp.series_closure(Matrix.from_rows([[2.0]], NN), max_terms=1100)
     assert exc.value.terms == 1100
+    # on an exact carrier too: from the second term on both sums are inf
+    with pytest.raises(sp.NotStabilized):
+        sp.series_closure(Matrix.from_rows([[1e308]], MP))
 
 
 def test_series_of_nilpotent_float_matrix_stops_on_exact_equality():

@@ -357,11 +357,19 @@ def test_main_bench_bad_sizes(capsys):
                  "--sizes", "8,oops", "--seeds", "1"]) == 2
 
 
+def test_main_bench_recursive_on_max_min(capsys):
+    code = main(["bench", "--semiring", "max-min", "--algorithm", "durbin",
+                 "--variant", "recursive", "--sizes", "4,8", "--seeds", "1"])
+    assert code == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [row["inverse_count"] for row in rows] == [0, 0]
+
+
 def test_main_bench_typed_error_exit_2(capsys):
     code = main(["bench", "--semiring", "max-min", "--algorithm", "durbin",
-                 "--variant", "recursive", "--sizes", "4", "--seeds", "1"])
+                 "--sizes", "8,4", "--seeds", "1"])
     assert code == 2
-    assert json.loads(capsys.readouterr().err)["error"] == "UnsupportedInstance"
+    assert json.loads(capsys.readouterr().err)["error"] == "IncompatibleRequest"
 
 
 # -- instance generators ----------------------------------------------------------

@@ -1,7 +1,7 @@
 """Exact semiring operation counts of every solver and kernel.
 
-The counts do not depend on the values for the ``recompute`` variant, so
-they are pinned as formulas where one is known and as literals elsewhere.
+The counts do not depend on the values for either pivot policy, so they
+are pinned as formulas where one is known and as literals elsewhere.
 Any change to the accumulation order or to the recursions must keep them.
 """
 
@@ -54,6 +54,26 @@ def test_durbin_recompute_counts(sr, n):
 
 @pytest.mark.parametrize("sr", INSTANCES, ids=lambda s: s.name)
 @pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("variant", ["recursive", "fallback"])
+def test_update_variant_counts(sr, n, variant):
+    # the pivot update beta + s alpha costs one mul and one add per step
+    rng = random.Random(f"update:{sr.name}:{n}")
+    r0, *r = draw(sr, rng, n + 1)
+    wrapped, counter = counted(sr)
+    sp.durbin(wrapped, r0, r, variant=variant)
+    assert pair(counter) == (n * n + n - 1, n * n - 1)
+    assert counter.closure_count == n and counter.inverse_count == 0
+
+    r0, *r = draw(sr, rng, n)
+    b = draw(sr, rng, n)
+    wrapped, counter = counted(sr)
+    sp.levinson(wrapped, r0, r, b, variant=variant)
+    assert pair(counter) == (2 * n * n - n, (n - 1) * (2 * n - 1))
+    assert counter.closure_count == n and counter.inverse_count == 0
+
+
+@pytest.mark.parametrize("sr", INSTANCES, ids=lambda s: s.name)
+@pytest.mark.parametrize("n", SIZES)
 def test_matvec_counts(sr, n):
     rng = random.Random(f"matvec:{sr.name}:{n}")
     wrapped, counter = counted(sr)
@@ -89,7 +109,7 @@ def test_border_step_counts_2k_plus_1_muls_and_2k_adds(sr, k):
     rng = random.Random(f"border-step:{sr.name}:{k}")
     z, h, p = (draw(sr, rng, k) for _ in range(3))
     wrapped, counter = counted(sr)
-    extended, new = wrapped.border_step(z, h, p, sr.one, sr.one)
+    extended, new, _ = wrapped.border_step(z, h, p, sr.one, sr.one)
     assert len(extended) == k + 1 and extended[-1] is new
     assert pair(counter) == (2 * k + 1, 2 * k)
     assert counter.closure_count == counter.inverse_count == 0

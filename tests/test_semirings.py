@@ -69,6 +69,10 @@ def test_scalar_closure(sr, a, expected):
     assert sr.closure(a) == expected
 
 
+def test_nonneg_closure_of_nan_is_none():
+    assert NN.closure(float("nan")) is None
+
+
 def test_closure_satisfies_quasi_inverse_on_samples():
     for sr in ALL:
         for a in sr.default_samples():
@@ -241,9 +245,9 @@ def test_border_step_matches_the_generic_step(sr):
         k = rng.randint(0, 9)
         z, h, p = ([rng.choice(pool) for _ in range(k)] for _ in range(3))
         rhs_k, star = rng.choice(pool), rng.choice(pool)
-        got, new = sr.border_step(list(z), h, p, rhs_k, star)
-        want, want_new = sp.Semiring.border_step(sr, list(z), h, p, rhs_k, star)
-        assert typed(got + [new]) == typed(want + [want_new]), (z, h, p, rhs_k, star)
+        got, new, s = sr.border_step(list(z), h, p, rhs_k, star)
+        want, want_new, want_s = sp.Semiring.border_step(sr, list(z), h, p, rhs_k, star)
+        assert typed(got + [new, s]) == typed(want + [want_new, want_s]), (z, h, p, rhs_k, star)
 
 
 @pytest.mark.parametrize("sr", ALL, ids=lambda s: s.name)
@@ -256,7 +260,7 @@ def test_border_step_length_mismatch_matches_the_generic_step(sr):
             sp.Semiring.border_step(sr, list(z), h, z, sr.one, sr.one)
         assert str(got.value) == str(want.value)
     # an empty z needs no dot product, so h is not read
-    assert sr.border_step([], [sr.one], (), sr.one, sr.one) == ([sr.one], sr.one)
+    assert sr.border_step([], [sr.one], (), sr.one, sr.one) == ([sr.one], sr.one, sr.one)
 
 
 def test_generic_kernels_where_counts_or_semantics_need_them():
@@ -265,7 +269,7 @@ def test_generic_kernels_where_counts_or_semantics_need_them():
     # IEEE -inf + inf is NaN, so max-plus-complete cannot use MaxPlus's kernel
     assert type(MPC).border_step is sp.Semiring.border_step
     assert MPC.border_step([NEG_INF], [POS_INF], [POS_INF], NEG_INF, 0) == (
-        [NEG_INF, NEG_INF], NEG_INF)
+        [NEG_INF, NEG_INF], NEG_INF, NEG_INF)
 
 
 # -- counting wrapper -------------------------------------------------------------

@@ -16,19 +16,6 @@ BOOL = sp.get_semiring("boolean")
 NN = sp.get_semiring("nonneg-real")
 
 
-class PartialInverseMaxPlus(sp.MaxPlus):
-    """Max-plus with the inverse of the unit removed; trips the recursive
-    pivot update at its first step."""
-
-    name = "max-plus-partial-inverse"
-    has_inverses = True
-
-    def mul_inverse(self, a):
-        if a == self.one:
-            return None
-        return super().mul_inverse(a)
-
-
 def yule_walker_residual(sr, r0, r, y):
     return sp.residual_check(SymToeplitz(r0, r[:-1], sr), y, r)
 
@@ -211,11 +198,13 @@ def test_beta_update_undefined_cases():
     assert sp.beta_update(MPC, 1, 0) is None             # star is +inf, no inverse
 
 
-def test_recursive_variant_requires_inverses():
-    with pytest.raises(sp.UnsupportedInstance):
-        sp.durbin(MM, 3, [1, 2], variant="recursive")
-    with pytest.raises(sp.UnsupportedInstance):
-        sp.levinson(MPC, 1, [1], [1, 1], variant="recursive")
+def test_recursive_variant_needs_no_inverse():
+    # max-min inverts only its unit; a positive max-plus-complete pivot has
+    # star +inf, which has no inverse
+    assert sp.durbin(MM, 3, [1, 2], variant="recursive") == \
+        sp.durbin(MM, 3, [1, 2], variant="recompute")
+    assert sp.levinson(MPC, 1, [1], [1, 1], variant="recursive") == \
+        sp.levinson(MPC, 1, [1], [1, 1], variant="recompute") == [POS_INF, POS_INF]
 
 
 def test_variants_agree_maxplus():
@@ -254,13 +243,46 @@ def test_fallback_matches_recompute_when_inverse_missing():
     assert y_fb == [POS_INF, POS_INF]
 
 
-def test_recursive_variant_surfaces_inverse_undefined():
-    sr = PartialInverseMaxPlus()
-    with pytest.raises(sp.InverseUndefined) as exc:
-        sp.durbin(sr, -1, [-2, -3], variant="recursive")
-    assert exc.value.step == 2
-    # fallback silently recomputes instead
-    assert sp.durbin(sr, -1, [-2, -3], variant="fallback") == [-2, -3]
+def _trace(steps):
+    """Every SolveState field but the variant, or the error's type and step."""
+    try:
+        return [(s.k, s.y, s.alpha, s.beta, s.x, s.mu) for s in steps()]
+    except sp.SolverUndefined as exc:
+        return type(exc).__name__, exc.step
+
+
+def _agree(sr, got, want):
+    """Equal type and repr, recursing into lists and tuples; floats of an
+    approximate carrier compare under ``sr.eq``."""
+    if isinstance(want, (list, tuple)):
+        return (type(got) is type(want) and len(got) == len(want)
+                and all(_agree(sr, g, w) for g, w in zip(got, want)))
+    if sr.approximate and isinstance(want, float):
+        return isinstance(got, float) and sr.eq(got, want)
+    return type(got) is type(want) and repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("name", sorted(sp.REGISTRY))
+def test_every_variant_matches_recompute(name):
+    sr = sp.get_semiring(name)
+    rng = random.Random(f"variants:{name}")
+    errors = 0
+    for n in range(1, 33):
+        raw = lambda k: [sr.sample(rng) for _ in range(k)]
+        draws = [
+            (*random_yule_walker(sr, n, rng), random_bellman(sr, n, rng)),
+            (raw(1)[0], raw(n), (raw(1)[0], raw(n - 1), raw(n))),
+        ]
+        for r0, r, (bl0, bl_r, b) in draws:
+            for steps in (lambda v: sp.durbin_steps(sr, r0, r, v),
+                          lambda v: sp.levinson_steps(sr, bl0, bl_r, b, v)):
+                want = _trace(lambda: steps("recompute"))
+                errors += isinstance(want, tuple)
+                for variant in ("recursive", "fallback"):
+                    got = _trace(lambda: steps(variant))
+                    assert _agree(sr, got, want), (variant, n, r0, r)
+    # the raw draws reach typed errors on every instance with a partial star
+    assert (errors > 0) is (not sr.complete)
 
 
 # -- state traces --------------------------------------------------------------
@@ -298,21 +320,14 @@ def test_beta_consistent_between_variants():
         assert s.beta == expect
 
 
-def _same_value(sr, a, b):
-    if sr.approximate:
-        return sr.eq(a, b)
-    return type(a) is type(b) and repr(a) == repr(b)
-
-
 @pytest.mark.parametrize("name", sorted(sp.REGISTRY))
 def test_pivot_update_identity_holds_on_every_step(name):
     # beta_{k+1} = beta_k + s_k alpha_k, where s_k is the value the size-k
     # step starred: s_k = r[k-2::-1] . y_{k-1} + r[k-1], s_1 = r[0]
     sr = sp.get_semiring(name)
-    variants = [v for v in sp.VARIANTS if sr.has_inverses or v != "recursive"]
     rng = random.Random(f"pivot:{name}")
-    pairs = 0
-    for variant in variants:
+    pairs = defined = 0
+    for variant in sp.VARIANTS:
         for n in range(1, 41):
             r0, r = random_yule_walker(sr, n, rng)
             bl0, bl_r, b = random_bellman(sr, n, rng)
@@ -327,9 +342,15 @@ def test_pivot_update_identity_holds_on_every_step(name):
                     else:
                         s = sr.add(sr.dot(r_used[k - 2::-1], states[k - 2].y), r_used[k - 1])
                     expect = sr.add(prev.beta, sr.mul(s, prev.alpha))
-                    assert _same_value(sr, cur.beta, expect), (variant, n, k)
+                    assert _agree(sr, cur.beta, expect), (variant, n, k)
                     pairs += 1
-    assert pairs == len(variants) * 2 * sum(range(40))
+                    # the paper's closed form, wherever (beta*)^-1 exists
+                    closed = sp.beta_update(sr, prev.beta, prev.alpha)
+                    if closed is not None:
+                        assert _agree(sr, cur.beta, closed), (variant, n, k)
+                        defined += 1
+    assert pairs == len(sp.VARIANTS) * 2 * sum(range(40))
+    assert defined > 0
 
 
 def test_levinson_states_carry_both_solutions():
