@@ -10,8 +10,9 @@ Two routes:
   ``border_step`` kernel; the Toeplitz solvers take the same step with the
   reversed self-generated solution in place of the closure column.
 * ``series_closure`` accumulates the partial sums I + A + A^2 + ... until
-  they stop changing.  It is the brute-force oracle the structured solvers
-  are verified against.
+  they stop changing (on a complete idempotent instance, until n terms
+  have been summed and the cycles are closed).  It is the brute-force
+  oracle the structured solvers are verified against.
 
 ``enumerate_solutions`` exhaustively searches the Boolean carrier for every
 solution of x = A x + b, which is the ground truth for least-solution
@@ -171,7 +172,10 @@ def series_closure(A, max_terms=None):
     terms).  ``max_terms`` defaults to 4n + 50; exceeding it raises
     NotStabilized, the signal for a divergent star.  A sum that overflowed,
     to inf on a float carrier or outside an exact one, never counts as
-    stable.
+    stable.  On a complete idempotent instance, such as max-plus-complete
+    with a positive cycle, a budget of at least n terms that runs out
+    closes the cycles through each node with its scalar star, so the
+    oracle is total there.
     """
     _require_square(A)
     sr = A.semiring
@@ -197,9 +201,33 @@ def series_closure(A, max_terms=None):
         elif S_next.data == S.data and all(map(sr.contains, S.data)):
             return S_next
         S = S_next
+    if sr.complete and sr.idempotent and max_terms >= n:
+        return _close_cycles(S, A)
     raise NotStabilized(
         max_terms, f"partial closure sums still changing after {max_terms} terms"
     )
+
+
+def _close_cycles(S, A):
+    """S (+) the sum over c of S[:, c] (A+_cc)* S[c, :], with A+ = S A.
+
+    S holds every walk of at most n edges, so it covers every simple path
+    and A+_cc every simple cycle through c.  On an idempotent instance a
+    walk through a node whose cycles sum past ``one`` then takes that
+    node's star (+inf on max-plus-complete), and every other walk is
+    already in S.
+    """
+    sr, n = A.semiring, A.rows
+    plus = S.mul(A)
+    data = list(S.data)
+    for c in range(n):
+        star = sr.closure(plus[c, c])
+        row = S.row_values(c)
+        for i in range(n):
+            via = sr.mul(S[i, c], star)
+            for j in range(n):
+                data[i * n + j] = sr.add(data[i * n + j], sr.mul(via, row[j]))
+    return Matrix(n, n, data, sr)
 
 
 def enumerate_solutions(A, b):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import semipath as sp
-from semipath import Matrix, NEG_INF
+from semipath import Matrix, NEG_INF, POS_INF
 
 MP = sp.get_semiring("max-plus")
 BOOL = sp.get_semiring("boolean")
@@ -224,6 +224,32 @@ def test_series_stabilizes_within_n_terms_for_nonpositive_maxplus():
         A = random_closable_maxplus(rng, n)
         # longest-path interpretation: paths longer than n-1 edges never help
         assert sp.series_closure(A, max_terms=n).equals(sp.series_closure(A))
+
+
+def test_series_is_total_on_max_plus_complete():
+    # entries from {-inf, +inf, -3..2}: positive cycles are common, and the
+    # finite partial sums never reach the +inf star they imply
+    MPC = sp.get_semiring("max-plus-complete")
+    rng = random.Random(2006)
+    values = [NEG_INF, POS_INF, *range(-3, 3)]
+    closed_cycles = 0
+    for k in range(300):
+        n = 1 + k % 7
+        A = Matrix(n, n, [rng.choice(values) for _ in range(n * n)], MPC)
+        star = sp.series_closure(A)
+        assert star.to_flat() == sp.bordering_closure(A).to_flat()
+        closed_cycles += POS_INF in star.data and POS_INF not in A.data
+    assert closed_cycles > 0
+
+
+def test_series_on_max_plus_complete_needs_n_terms_to_close_cycles():
+    MPC = sp.get_semiring("max-plus-complete")
+    A = Matrix.from_rows([[-1, 2, NEG_INF], [-1, -1, NEG_INF], [0, NEG_INF, -5]], MPC)
+    with pytest.raises(sp.NotStabilized):
+        sp.series_closure(A, max_terms=2)
+    assert sp.series_closure(A, max_terms=3).to_rows() == [
+        [POS_INF, POS_INF, NEG_INF], [POS_INF, POS_INF, NEG_INF], [POS_INF, POS_INF, 0],
+    ]
 
 
 def test_series_rejects_nonpositive_budget():
