@@ -43,30 +43,32 @@ print(f"  classical dense solve of (I - T) u = r: u={u.tolist()}")
 print(f"  max relative difference: {max(abs(np.asarray(y) - u) / abs(u)):.2e}")
 print()
 
-# -- pivot-update variants -----------------------------------------------------------
+# -- the constant-time pivot ----------------------------------------------------------
 
-# The pivot beta_k = r0 + r[:k].y[:k] can be recomputed (default) or updated
-# in constant time as beta + s alpha, where s is the sum the previous step
-# starred; both give the same solution.
+# The pivot beta_k = r0 + r[:k].y[:k] is never recomputed from that dot
+# product: every step updates it in constant time as beta + s alpha, where s
+# is the sum the previous step starred.  The states carry both, so the
+# definition can be checked against the update on a random instance.
 rng = np.random.default_rng(0)
 raw = rng.uniform(0.01, 1.0, size=9)
 scale = 0.8 / (raw[0] + 2 * raw[1:].sum())
 r0, r = float(raw[0] * scale), [float(v * scale) for v in raw[1:]]
-y2 = sp.durbin(NN, r0, r, variant="recompute")
-y1 = sp.durbin(NN, r0, r, variant="recursive")
-print("variant agreement on a random nonneg-real instance:",
-      max(abs(a - b) for a, b in zip(y1, y2)))
+states = list(sp.durbin_steps(NN, r0, r))
+gap = max(abs(cur.beta - (r0 + sum(a * b for a, b in zip(r, prev.y))))
+          for prev, cur in zip(states, states[1:]))
+print("updated pivot vs its dot product on a random nonneg-real instance:", gap)
 
 # The update needs no inverse: max-min inverts only its unit +inf, and the
-# recursive pivot still runs there.
+# pivot still updates there.
 MM = sp.get_semiring("max-min")
 r0, r = 3, [5, -2, 7, 1]
-y = sp.durbin(MM, r0, r, variant="recursive")
-print(f"max-min durbin, recursive pivot: r0={r0}, r={r}  ->  y={y}")
-print("  recursive == recompute:", y == sp.durbin(MM, r0, r))
+y = sp.durbin(MM, r0, r)
+print(f"max-min durbin: r0={r0}, r={r}  ->  y={y}")
+print("  fixpoint y = T y + r holds:",
+      sp.residual_check(SymToeplitz(r0, r[:-1], MM), y, r))
 
 # Divergent instance: max-plus has no star for positive pivots at all.
 try:
     sp.durbin(MP, -1, [5, -1])
 except sp.ClosureUndefined as exc:
-    print(f"max-plus pivot star undefined while building size {exc.step}")
+    print(f"max-plus pivot {exc.value} has no star while building size {exc.step}")

@@ -39,6 +39,11 @@ SERIES_REL_TOL = 1e-12
 #: declared stable
 SERIES_STABLE_RUN = 2
 
+#: default term budget beyond 4n on float carriers: the terms of a series
+#: with spectral radius 0.9 shrink below SERIES_REL_TOL of the sum within
+#: log(1e-12) / log(0.9), about 263 terms, then stay there for the stable run
+SERIES_FLOAT_TERMS = math.ceil(math.log(SERIES_REL_TOL) / math.log(0.9)) + SERIES_STABLE_RUN
+
 #: hard cap on exhaustive Boolean solution enumeration (2**n candidates)
 ENUMERATION_MAX_N = 12
 
@@ -72,11 +77,11 @@ def _star(sr, value, step):
     carrier, ClosureUndefined when its star does not exist."""
     if not sr.contains(value):
         raise OutsideCarrier(
-            step, f"pivot {value!r} at size {step} is outside the {sr.name} carrier"
+            step, value, f"pivot {value!r} at size {step} is outside the {sr.name} carrier"
         )
     star = sr.closure(value)
     if star is None:
-        raise ClosureUndefined(step, f"closure undefined in {sr.name} at size {step}")
+        raise ClosureUndefined(step, value, f"closure undefined in {sr.name} at size {step}")
     return star
 
 
@@ -86,7 +91,7 @@ def _check_carrier(sr, values, step):
     for v in values:
         if not sr.contains(v):
             raise OutsideCarrier(
-                step, f"solution entry {v!r} at size {step} is outside the {sr.name} carrier"
+                step, v, f"solution entry {v!r} at size {step} is outside the {sr.name} carrier"
             )
 
 
@@ -169,19 +174,20 @@ def series_closure(A, max_terms=None):
     Partial sums S_m = I + A + ... + A^m are accumulated until they reach a
     fixed point (exact equality for exact carriers; for floating-point
     carriers, entrywise relative change below 1e-12 for two consecutive
-    terms).  ``max_terms`` defaults to 4n + 50; exceeding it raises
-    NotStabilized, the signal for a divergent star.  A sum that overflowed,
-    to inf on a float carrier or outside an exact one, never counts as
-    stable.  On a complete idempotent instance, such as max-plus-complete
-    with a positive cycle, a budget of at least n terms that runs out
-    closes the cycles through each node with its scalar star, so the
-    oracle is total there.
+    terms).  ``max_terms`` defaults to 4n + 50, or to 4n + 265
+    (SERIES_FLOAT_TERMS) on float carriers, enough for a spectral radius up
+    to 0.9; exceeding it raises NotStabilized, the signal for a divergent
+    star.  A sum that overflowed, to inf on a float carrier or outside an
+    exact one, never counts as stable.  On a complete idempotent instance,
+    such as max-plus-complete with a positive cycle, a budget of at least n
+    terms that runs out closes the cycles through each node with its scalar
+    star, so the oracle is total there.
     """
     _require_square(A)
     sr = A.semiring
     n = A.rows
     if max_terms is None:
-        max_terms = 4 * n + 50
+        max_terms = 4 * n + (SERIES_FLOAT_TERMS if sr.approximate else 50)
     if max_terms < 1:
         raise ValueError("max_terms must be at least 1")
 

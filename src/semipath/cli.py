@@ -89,7 +89,12 @@ def decode_value(sr, raw, where):
 
 
 def encode_value(v):
-    """Carrier value -> JSON scalar (infinities become strings)."""
+    """Carrier value -> JSON scalar (infinities become strings).
+
+    A NaN, which no carrier holds but an error can report, becomes "nan".
+    """
+    if v != v:
+        return "nan"
     if v == NEG_INF:
         return "-inf"
     if v == POS_INF:
@@ -328,7 +333,9 @@ def _build_parser():
 
 def _fail(exc, code):
     print(json.dumps({"error": type(exc).__name__, "message": str(exc),
-                      "step": getattr(exc, "step", None)}), file=sys.stderr)
+                      "step": getattr(exc, "step", None),
+                      "value": encode_value(getattr(exc, "value", None))},
+                     allow_nan=False), file=sys.stderr)
     return code
 
 

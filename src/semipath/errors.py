@@ -21,12 +21,15 @@ class SolverUndefined(SemipathError):
     """A solver hit a scalar operation that is undefined in this instance.
 
     ``step`` is the size of the leading subsystem being built when the
-    operation failed (1 for the very first scalar closure).
+    operation failed (1 for the very first scalar closure), and ``value``
+    the scalar it failed on: the pivot without a star, or the pivot or
+    solution entry outside the carrier.
     """
 
-    def __init__(self, step, message):
+    def __init__(self, step, value, message):
         super().__init__(message)
         self.step = step
+        self.value = value
 
 
 class ClosureUndefined(SolverUndefined):

@@ -284,8 +284,27 @@ class MaxPlusComplete(MaxPlus):
     complete = True
     has_inverses = False
 
-    # MaxPlus.border_step adds with IEEE +, which gives NaN for -inf + inf
-    border_step = Semiring.border_step
+    def border_step(self, z, h, p, rhs_k, star):
+        # IEEE -inf + inf is NaN where mul gives -inf.  max skips a NaN after
+        # the first item, as add skips -inf; only a NaN in first place
+        # survives, and the generic dot handles that case.
+        if z:
+            _check_dot(h, z)
+            acc = max(map(operator.add, h, z))
+            if acc != acc:
+                acc = Semiring.dot(self, h, z)
+            rhs_k = acc if acc >= rhs_k else rhs_k
+        new = self.mul(star, rhs_k)
+        if new == POS_INF:
+            # mul(p[j], +inf) is -inf where p[j] is -inf and +inf elsewhere
+            extended = [zj if pj == NEG_INF or zj == POS_INF else new
+                        for zj, pj in zip(z, p)]
+        elif new == NEG_INF:
+            extended = list(z)
+        else:
+            extended = [zj if zj >= (t := pj + new) else t for zj, pj in zip(z, p)]
+        extended.append(new)
+        return extended, new, rhs_k
 
     def mul(self, a, b):
         if a == NEG_INF or b == NEG_INF:

@@ -12,18 +12,16 @@ column is the reversed y, so the closure is never carried and the total
 operation count is quadratic in n rather than the cubic cost of the general
 bordering route.
 
-The pivot beta_k = r0 + r[0:k] . y[0:k] has two policies:
+The pivot beta_k = r0 + r[0:k] . y[0:k] is never recomputed from that dot
+product: every step updates it in constant time, beta_{k+1} = beta_k + s_k
+alpha_k, where s_k is the sum the size-k step starred and alpha_k the entry
+it produced, so a step costs O(k) operations in its ``border_step`` alone.
+The update needs no inverse, so it runs on every instance; where
+(beta*)^-1 exists it equals the paper's closed form ``beta_update``.
 
-* ``recompute``  (default) recomputes it from that dot product every step;
-  it is the reference the operation-count formulas are pinned against.
-* ``recursive``  updates it in constant time, beta_{k+1} = beta_k + s_k
-  alpha_k, where s_k is the sum the size-k step starred and alpha_k the
-  entry it produced.  The update needs no inverse, so it runs on every
-  instance; where (beta*)^-1 exists it equals the paper's closed form
-  ``beta_update``.
-
-``fallback`` is an alias of ``recursive``: the update cannot fail, so there
-is nothing to fall back from.
+The variant names ``recompute`` (default), ``recursive`` and ``fallback``
+are all accepted and echoed in ``SolveState.variant``; they run the same
+update.
 """
 
 from dataclasses import dataclass
@@ -67,8 +65,8 @@ def beta_update(semiring, beta_prev, alpha_prev):
 
     Returns None when the closure of ``beta_prev`` or its inverse is
     undefined.  Where it is defined it equals the inverse-free update
-    beta + s * alpha that the ``recursive`` variant takes, because
-    alpha = beta* s; the solvers never call it.
+    beta + s * alpha that the solvers take, because alpha = beta* s; the
+    solvers never call it.
     """
     bstar = semiring.closure(beta_prev)
     if bstar is None:
@@ -98,10 +96,7 @@ def _steps(sr, r0, r, b, variant):
     h = p = ()
     for k in range(n):
         if k:
-            if variant == VARIANT_RECOMPUTE:
-                beta = sr.add(r0, sr.dot(r[:k], y))
-            else:
-                beta = sr.add(beta, sr.mul(s, alpha))
+            beta = sr.add(beta, sr.mul(s, alpha))
             # by persymmetry the closure times the new column is reversed y
             h, p = r[k - 1::-1], y[::-1]
         bstar = _star(sr, beta, k + 1)

@@ -12,6 +12,8 @@ import semipath as sp
 from semipath import Matrix, SymToeplitz
 from semipath.cli import random_bellman, random_yule_walker
 
+from pivot_reference import dot_pivot_solve
+
 NN = sp.get_semiring("nonneg-real")
 MP = sp.get_semiring("max-plus")
 MPC = sp.get_semiring("max-plus-complete")
@@ -140,6 +142,8 @@ def test_criterion_4_quasi_inverse_and_persymmetry():
 
 
 def test_criterion_5_variant_agreement():
+    # every variant updates the pivot in constant time; the reference
+    # recomputes it from its dot product r0 (+) r[:k] . y[:k] at every step
     rng = random.Random(1001)  # replay criterion 1's instance stream
     failures = []
     completed = 0
@@ -148,15 +152,16 @@ def test_criterion_5_variant_agreement():
         r0, r = random_yule_walker(MP, n, rng)
         r0b, rb, b = random_bellman(MP, n, rng)
         try:
-            y1 = sp.durbin(MP, r0, r, variant="recursive")
-            x1 = sp.levinson(MP, r0b, rb, b, variant="recursive")
+            y2 = dot_pivot_solve(MP, r0, r)
+            x2 = dot_pivot_solve(MP, r0b, rb, b)
         except sp.SolverUndefined:
             continue
         completed += 1
-        if y1 != sp.durbin(MP, r0, r, variant="recompute"):
-            failures.append(("maxplus-durbin", case))
-        if x1 != sp.levinson(MP, r0b, rb, b, variant="recompute"):
-            failures.append(("maxplus-levinson", case))
+        for variant in sp.VARIANTS:
+            if sp.durbin(MP, r0, r, variant=variant) != y2:
+                failures.append(("maxplus-durbin", variant, case))
+            if sp.levinson(MP, r0b, rb, b, variant=variant) != x2:
+                failures.append(("maxplus-levinson", variant, case))
 
     rng = random.Random(1002)  # and criterion 2's
     for case in range(100):
@@ -164,21 +169,22 @@ def test_criterion_5_variant_agreement():
         r0, r = random_yule_walker(NN, n, rng)
         r0b, rb, b = random_bellman(NN, n, rng)
         try:
-            y1 = sp.durbin(NN, r0, r, variant="recursive")
-            x1 = sp.levinson(NN, r0b, rb, b, variant="recursive")
+            y2 = dot_pivot_solve(NN, r0, r)
+            x2 = dot_pivot_solve(NN, r0b, rb, b)
         except sp.SolverUndefined:
             continue
         completed += 1
-        y2 = sp.durbin(NN, r0, r, variant="recompute")
-        x2 = sp.levinson(NN, r0b, rb, b, variant="recompute")
-        if not all(_rel_close(a, c) for a, c in zip(y1, y2)):
-            failures.append(("nonneg-durbin", case))
-        if not all(_rel_close(a, c) for a, c in zip(x1, x2)):
-            failures.append(("nonneg-levinson", case))
+        for variant in sp.VARIANTS:
+            y1 = sp.durbin(NN, r0, r, variant=variant)
+            x1 = sp.levinson(NN, r0b, rb, b, variant=variant)
+            if not all(_rel_close(a, c) for a, c in zip(y1, y2)):
+                failures.append(("nonneg-durbin", variant, case))
+            if not all(_rel_close(a, c) for a, c in zip(x1, x2)):
+                failures.append(("nonneg-levinson", variant, case))
     if completed == 0:
-        failures.append(("recursive-variant-never-completed",))
-    _report(5, "recursive and recomputed pivot variants agree on every "
-               "completed criterion 1-2 instance", failures)
+        failures.append(("reference-never-completed",))
+    _report(5, "every pivot variant agrees with the recomputed dot-product "
+               "pivot on every completed criterion 1-2 instance", failures)
 
 
 def test_criterion_6_operation_count_scaling():

@@ -179,25 +179,39 @@ def test_solve_overflow_raises_outside_carrier_at_its_size():
 def test_series_converges_for_contracting_float():
     out = sp.series_closure(Matrix.from_rows([[0.5]], NN))
     assert abs(out[0, 0] - 2.0) <= 2.0 * 1e-10
+    # spectral radius 0.9 needs ~250 terms to sustain the 1e-12 rule; the
+    # default float budget of 4n + 265 covers it
+    for rows, x_want in (([[0.5, 0.25], [0.25, 0.5]], [4.0, 4.0]),
+                         ([[0.9]], [10.0]),
+                         ([[0.4, 0.5], [0.5, 0.4]], [10.0, 10.0])):
+        star = sp.series_closure(Matrix.from_rows(rows, NN))
+        x = star.mul(Matrix.column([1.0] * len(rows), NN)).to_flat()
+        assert all(NN.eq(a, b) for a, b in zip(x, x_want)), rows
 
 
 def test_series_budget_is_the_knob_for_slow_contraction():
-    # spectral radius 0.75 needs ~96 terms to sustain the 1e-12 rule, more
-    # than the default 4n + 50 budget; a caller-supplied budget succeeds
-    T = Matrix.from_rows([[0.5, 0.25], [0.25, 0.5]], NN)
+    # spectral radius 0.95 needs ~500 terms to sustain the 1e-12 rule, more
+    # than the default 4n + 265 float budget; a caller-supplied budget succeeds
+    T = Matrix.from_rows([[0.6, 0.35], [0.35, 0.6]], NN)
     with pytest.raises(sp.NotStabilized):
         sp.series_closure(T)
-    star = sp.series_closure(T, max_terms=200)
+    star = sp.series_closure(T, max_terms=1000)
     x = star.mul(Matrix.column([1.0, 2.0], NN)).to_flat()
-    assert NN.eq(x[0], 16 / 3) and NN.eq(x[1], 20 / 3)
+    assert NN.eq(x[0], 88 / 3) and NN.eq(x[1], 92 / 3)
 
 
 def test_series_not_stabilized_signals_divergence():
     with pytest.raises(sp.NotStabilized) as exc:
         sp.series_closure(Matrix.from_rows([[1.5]], NN))
-    assert exc.value.terms == 54  # 4 * 1 + 50
-    with pytest.raises(sp.NotStabilized):
+    assert exc.value.terms == 269  # 4 * 1 + 265 on a float carrier
+    # spectral radius 1 and 1.05: the larger float budget still ends in an error
+    for rows in ([[0.5, 0.5], [0.5, 0.5]], [[0.5, 0.55], [0.55, 0.5]]):
+        with pytest.raises(sp.NotStabilized) as exc:
+            sp.series_closure(Matrix.from_rows(rows, NN))
+        assert exc.value.terms == 273
+    with pytest.raises(sp.NotStabilized) as exc:
         sp.series_closure(Matrix.from_rows([[1]], MP))
+    assert exc.value.terms == 54  # 4 * 1 + 50 on an exact carrier
 
 
 def test_series_overflow_is_not_stabilized():

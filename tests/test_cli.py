@@ -270,6 +270,39 @@ def test_main_overflow_at_size_2_exit_3_for_each_rhs_algorithm(tmp_path, capsys,
     assert err["error"] == "OutsideCarrier" and err["step"] == 2
 
 
+@pytest.mark.parametrize("doc,algorithm,error,step,value", [
+    # the size-2 pivot max(-1, 5 + 5) has no max-plus star
+    ({"semiring": "max-plus", "r0": -1, "r": [5, -1]}, "durbin", "ClosureUndefined", 2, 10),
+    ({"semiring": "max-plus", "r0": -1, "r": [5], "b": [5, 0]}, "bordering",
+     "ClosureUndefined", 2, 10),
+    ({"semiring": "nonneg-real", "r0": 0.9, "r": [0], "b": [1e308, 0]}, "levinson",
+     "OutsideCarrier", 1, "inf"),
+    ({"semiring": "nonneg-real", "r0": 0.25, "r": [0.25], "b": [1e308, 1e308]}, "series",
+     "OutsideCarrier", 2, "inf"),
+])
+def test_main_error_json_carries_the_failing_value(tmp_path, capsys, doc, algorithm, error,
+                                                   step, value):
+    path = write(tmp_path, doc)
+    code = main(["solve", "--semiring", doc["semiring"], "--algorithm", algorithm,
+                 "--input", path])
+    assert code == 3
+    err = json.loads(capsys.readouterr().err)
+    assert (err["error"], err["step"], err["value"]) == (error, step, value)
+
+
+def test_error_json_encodes_a_nan_value_as_a_string(capsys):
+    # the size-2 pivot of this matrix is 0 * inf, a NaN
+    A = sp.Matrix.from_rows([[0.5, 1e308], [0, 0]], sp.get_semiring("nonneg-real"))
+    with pytest.raises(sp.OutsideCarrier) as exc:
+        sp.bordering_closure(A)
+    assert cli._fail(exc.value, 3) == 3
+    raw = capsys.readouterr().err
+    assert "NaN" not in raw
+    assert json.loads(raw)["value"] == "nan"
+    assert cli._fail(sp.ParseError("bad"), 2) == 2
+    assert json.loads(capsys.readouterr().err)["value"] is None
+
+
 def test_main_series_on_a_positive_cycle_answers_inf(tmp_path, capsys):
     # the star of the cycle weight 1 is +inf; the finite partial sums never get there
     path = write(tmp_path, {"semiring": "max-plus-complete", "r0": 1, "r": [1]})
@@ -348,7 +381,6 @@ def test_bench_deterministic_given_seed():
 
 @pytest.mark.parametrize("name,sizes,seeds", [
     ("max-plus", [2, 5, 9], 3),
-    # slowly contracting nonneg-real draws exhaust the series budget at more seeds
     ("nonneg-real", [2, 4], 2),
 ])
 def test_bench_reads_no_environment(monkeypatch, name, sizes, seeds):
@@ -357,6 +389,13 @@ def test_bench_reads_no_environment(monkeypatch, name, sizes, seeds):
     unset = run_bench(name, "series", sizes, seeds)
     monkeypatch.setenv("SEMIPATH_SEED", "7")
     assert json.dumps(run_bench(name, "series", sizes, seeds)) == json.dumps(unset)
+
+
+def test_bench_series_on_nonneg_real_stabilizes():
+    # the draws contract by up to 0.85, within the float series budget
+    for sizes, seeds in (([1, 2, 3, 5, 8], 3), ([2, 4], 3), ([16], 5)):
+        table = run_bench("nonneg-real", "series", sizes, seeds)
+        assert [row["size"] for row in table["rows"]] == sizes
 
 
 def test_bench_series_on_max_plus_complete():

@@ -266,10 +266,26 @@ def test_border_step_length_mismatch_matches_the_generic_step(sr):
 def test_generic_kernels_where_counts_or_semantics_need_them():
     assert all(type(sr).dot is sp.Semiring.dot for sr in ALL)
     assert sp.CountingSemiring.border_step is sp.Semiring.border_step
+    assert all(type(sr).border_step is not sp.Semiring.border_step for sr in ALL)
     # IEEE -inf + inf is NaN, so max-plus-complete cannot use MaxPlus's kernel
-    assert type(MPC).border_step is sp.Semiring.border_step
+    assert type(MPC).border_step is not sp.MaxPlus.border_step
     assert MPC.border_step([NEG_INF], [POS_INF], [POS_INF], NEG_INF, 0) == (
         [NEG_INF, NEG_INF], NEG_INF, NEG_INF)
+
+
+def test_max_plus_complete_border_step_matches_the_generic_step_with_overflow():
+    # finite sums that overflow to inf (1e308 + 1e308), -inf + inf in any
+    # place of the starred sum, and the stars 0 and +inf that closure returns
+    pool = [NEG_INF, POS_INF, 0, 0.0, -0.0, 3, 3.0, -2.5, 1e308, 1.5e308, -1e308]
+    rng = random.Random("border-step:max-plus-complete:overflow")
+    for _ in range(20000):
+        k = rng.randint(0, 6)
+        z, h, p = ([rng.choice(pool) for _ in range(k)] for _ in range(3))
+        rhs_k = rng.choice(pool)
+        star = rng.choice([0, POS_INF, rng.choice(pool)])
+        got, new, s = MPC.border_step(list(z), h, p, rhs_k, star)
+        want, want_new, want_s = sp.Semiring.border_step(MPC, list(z), h, p, rhs_k, star)
+        assert typed(got + [new, s]) == typed(want + [want_new, want_s]), (z, h, p, rhs_k, star)
 
 
 # -- counting wrapper -------------------------------------------------------------

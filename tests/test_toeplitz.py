@@ -9,6 +9,8 @@ import semipath as sp
 from semipath import Matrix, NEG_INF, POS_INF, SymToeplitz
 from semipath.cli import random_bellman, random_yule_walker
 
+from pivot_reference import dot_pivot_solve, dot_pivot_steps
+
 MP = sp.get_semiring("max-plus")
 MPC = sp.get_semiring("max-plus-complete")
 MM = sp.get_semiring("max-min")
@@ -182,6 +184,23 @@ def test_overflow_raises_outside_carrier_at_its_size():
     assert exc.value.step == 2
 
 
+def test_typed_errors_carry_the_failing_value():
+    # the pivot without a star, at sizes 1 and 2
+    with pytest.raises(sp.ClosureUndefined) as exc:
+        sp.durbin(MP, 1, [-2])
+    assert (exc.value.step, exc.value.value) == (1, 1)
+    with pytest.raises(sp.ClosureUndefined) as exc:
+        sp.levinson(NN, 0.5, [0.5], [1.0, 1.0])
+    assert exc.value.step == 2 and NN.eq(exc.value.value, 1.0)
+    # the new entry, and the updated entry, that overflowed
+    with pytest.raises(sp.OutsideCarrier) as exc:
+        sp.durbin(NN, 0.9, [1e308, 0])
+    assert (exc.value.step, exc.value.value) == (1, POS_INF)
+    with pytest.raises(sp.OutsideCarrier) as exc:
+        sp.levinson(NN, 0, [0.5], [1.5e308, 0])
+    assert (exc.value.step, exc.value.value) == (2, POS_INF)
+
+
 # -- pivot update and variants ---------------------------------------------------
 
 def test_beta_update_examples():
@@ -201,10 +220,9 @@ def test_beta_update_undefined_cases():
 def test_recursive_variant_needs_no_inverse():
     # max-min inverts only its unit; a positive max-plus-complete pivot has
     # star +inf, which has no inverse
-    assert sp.durbin(MM, 3, [1, 2], variant="recursive") == \
-        sp.durbin(MM, 3, [1, 2], variant="recompute")
+    assert sp.durbin(MM, 3, [1, 2], variant="recursive") == dot_pivot_solve(MM, 3, [1, 2])
     assert sp.levinson(MPC, 1, [1], [1, 1], variant="recursive") == \
-        sp.levinson(MPC, 1, [1], [1, 1], variant="recompute") == [POS_INF, POS_INF]
+        dot_pivot_solve(MPC, 1, [1], [1, 1]) == [POS_INF, POS_INF]
 
 
 def test_variants_agree_maxplus():
@@ -214,11 +232,11 @@ def test_variants_agree_maxplus():
         r0 = rng.randint(-9, 0)
         r = [rng.randint(-9, 0) for _ in range(n)]
         b = [rng.randint(-9, 0) for _ in range(n + 1)]
-        base = sp.durbin(MP, r0, r, variant="recompute")
-        assert sp.durbin(MP, r0, r, variant="recursive") == base
-        assert sp.durbin(MP, r0, r, variant="fallback") == base
-        lev_base = sp.levinson(MP, r0, r, b, variant="recompute")
-        assert sp.levinson(MP, r0, r, b, variant="recursive") == lev_base
+        base = dot_pivot_solve(MP, r0, r)
+        lev_base = dot_pivot_solve(MP, r0, r, b)
+        for variant in sp.VARIANTS:
+            assert sp.durbin(MP, r0, r, variant=variant) == base
+            assert sp.levinson(MP, r0, r, b, variant=variant) == lev_base
 
 
 def test_variants_agree_nonneg_within_tolerance():
@@ -228,27 +246,29 @@ def test_variants_agree_nonneg_within_tolerance():
         raw = [rng.random() + 1e-3 for _ in range(n + 1)]
         scale = 0.8 / (raw[0] + 2 * sum(raw[1:]))
         r0, r = raw[0] * scale, [v * scale for v in raw[1:]]
-        y2 = sp.durbin(NN, r0, r, variant="recompute")
-        y1 = sp.durbin(NN, r0, r, variant="recursive")
-        assert all(NN.eq(a, b) for a, b in zip(y1, y2))
+        y2 = dot_pivot_solve(NN, r0, r)
+        for variant in sp.VARIANTS:
+            y1 = sp.durbin(NN, r0, r, variant=variant)
+            assert all(NN.eq(a, b) for a, b in zip(y1, y2))
 
 
 def test_fallback_matches_recompute_when_inverse_missing():
-    # positive pivot on the completed instance: star is +inf, inverse gone
+    # positive pivot on the completed instance: star is +inf, inverse gone;
+    # the reference recomputes every pivot by its dot product
     r0, r, b = 1, [1], [1, -2]
-    assert sp.levinson(MPC, r0, r, b, variant="fallback") == \
-        sp.levinson(MPC, r0, r, b, variant="recompute")
+    assert sp.levinson(MPC, r0, r, b, variant="fallback") == dot_pivot_solve(MPC, r0, r, b)
     y_fb = sp.durbin(MPC, 1, [1, -2], variant="fallback")
-    assert y_fb == sp.durbin(MPC, 1, [1, -2], variant="recompute")
+    assert y_fb == dot_pivot_solve(MPC, 1, [1, -2])
     assert y_fb == [POS_INF, POS_INF]
 
 
 def _trace(steps):
-    """Every SolveState field but the variant, or the error's type and step."""
+    """Every SolveState field but the variant, or the error's type, step,
+    value and message."""
     try:
         return [(s.k, s.y, s.alpha, s.beta, s.x, s.mu) for s in steps()]
     except sp.SolverUndefined as exc:
-        return type(exc).__name__, exc.step
+        return type(exc).__name__, exc.step, exc.value, str(exc)
 
 
 def _agree(sr, got, want):
@@ -264,6 +284,8 @@ def _agree(sr, got, want):
 
 @pytest.mark.parametrize("name", sorted(sp.REGISTRY))
 def test_every_variant_matches_recompute(name):
+    # the pivot update against the reference that recomputes it by its dot
+    # product; nonneg-real floats agree under sr.eq, everything else exactly
     sr = sp.get_semiring(name)
     rng = random.Random(f"variants:{name}")
     errors = 0
@@ -274,13 +296,13 @@ def test_every_variant_matches_recompute(name):
             (raw(1)[0], raw(n), (raw(1)[0], raw(n - 1), raw(n))),
         ]
         for r0, r, (bl0, bl_r, b) in draws:
-            for steps in (lambda v: sp.durbin_steps(sr, r0, r, v),
-                          lambda v: sp.levinson_steps(sr, bl0, bl_r, b, v)):
-                want = _trace(lambda: steps("recompute"))
+            for args, steps in (((r0, r), sp.durbin_steps),
+                                ((bl0, bl_r, b), sp.levinson_steps)):
+                want = _trace(lambda: dot_pivot_steps(sr, *args))
                 errors += isinstance(want, tuple)
-                for variant in ("recursive", "fallback"):
-                    got = _trace(lambda: steps(variant))
-                    assert _agree(sr, got, want), (variant, n, r0, r)
+                for variant in sp.VARIANTS:
+                    got = _trace(lambda: steps(sr, *args, variant))
+                    assert _agree(sr, got, want), (variant, n, args)
     # the raw draws reach typed errors on every instance with a partial star
     assert (errors > 0) is (not sr.complete)
 
@@ -307,11 +329,11 @@ def test_beta_consistent_between_variants():
     rng = random.Random(27)
     r0 = -1
     r = [rng.randint(-6, 0) for _ in range(6)]
-    direct = list(sp.durbin_steps(MP, r0, r, variant="recompute"))
-    recursive = list(sp.durbin_steps(MP, r0, r, variant="recursive"))
-    for s2, s1 in zip(direct, recursive):
-        assert s2.beta == s1.beta
-        assert s2.y == s1.y
+    direct = list(dot_pivot_steps(MP, r0, r))
+    for variant in sp.VARIANTS:
+        updated = list(sp.durbin_steps(MP, r0, r, variant=variant))
+        assert [(s.beta, s.y, s.variant) for s in updated] == \
+            [(s.beta, s.y, variant) for s in direct]
     # and beta matches its defining dot product at every step
     for s in direct[1:]:
         k = s.k - 1  # pivot was formed from the size-k solution
