@@ -40,7 +40,7 @@ from .semirings import (
     REGISTRY,
     get_semiring,
 )
-from .toeplitz import VARIANT_RECOMPUTE, VARIANTS, durbin, levinson, residual_check
+from .toeplitz import VARIANT_RECOMPUTE, _check_variant, durbin, levinson, residual_check
 
 ALGORITHMS = ("durbin", "levinson", "bordering", "series")
 
@@ -165,13 +165,13 @@ def _toeplitz_parts(inst):
     return list(inst.r[:-1]), list(inst.r)
 
 
-def _solve(sr, inst, algorithm, variant):
+def _solve(sr, inst, algorithm):
     """The solution list for one algorithm, computed over instance ``sr``."""
     tail, rhs = _toeplitz_parts(inst)
     if algorithm == "durbin":
-        return durbin(sr, inst.r0, inst.r, variant)
+        return durbin(sr, inst.r0, inst.r)
     if algorithm == "levinson":
-        return levinson(sr, inst.r0, inst.r, inst.b, variant)
+        return levinson(sr, inst.r0, inst.r, inst.b)
     T = SymToeplitz(inst.r0, tail, sr).expand()
     if algorithm == "bordering":
         return bordering_solve(T, rhs).to_flat()
@@ -189,6 +189,10 @@ def run_solve(inst, algorithm, variant=VARIANT_RECOMPUTE, check=False, count=Fal
     CountingSemiring, whose wrapper calls would otherwise inflate the time.
     The residual check (when requested) runs on the unwrapped instance so
     operation counts reflect the solve alone.
+
+    ``variant`` selects nothing: ``benchmarks/layers.py`` still calls
+    ``run_solve(inst, op, "recompute", True)``, so the slot stays in front of
+    ``check``; a name outside ``toeplitz.VARIANTS`` raises ValueError.
     """
     if algorithm not in ALGORITHMS:
         raise IncompatibleRequest(f"unknown algorithm {algorithm!r}")
@@ -196,14 +200,15 @@ def run_solve(inst, algorithm, variant=VARIANT_RECOMPUTE, check=False, count=Fal
         raise IncompatibleRequest("durbin solves the self-generated problem; remove 'b'")
     if algorithm == "levinson" and inst.b is None:
         raise IncompatibleRequest("levinson needs an explicit right-hand side 'b'")
+    _check_variant(variant)
 
     base = get_semiring(inst.semiring)
     started = time.perf_counter()
-    solution = _solve(base, inst, algorithm, variant)
+    solution = _solve(base, inst, algorithm)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     counter = OpCounter()
     if count:
-        _solve(CountingSemiring(base, counter), inst, algorithm, variant)
+        _solve(CountingSemiring(base, counter), inst, algorithm)
 
     report = asdict(counter)
     if check:
@@ -211,7 +216,6 @@ def run_solve(inst, algorithm, variant=VARIANT_RECOMPUTE, check=False, count=Fal
         report["residual_ok"] = residual_check(SymToeplitz(inst.r0, tail, base), solution, rhs)
     report["solution"] = [encode_value(v) for v in solution]
     report["algorithm"] = algorithm
-    report["variant"] = variant
     report["semiring"] = inst.semiring
     report["elapsed"] = elapsed_ms
     return report
@@ -255,7 +259,7 @@ def random_bellman(sr, n, rng):
     return r0, r[:n - 1], _draw(sr, rng, n, toeplitz=False)
 
 
-def run_bench(semiring_name, algorithm, sizes, seeds, variant=VARIANT_RECOMPUTE):
+def run_bench(semiring_name, algorithm, sizes, seeds):
     """Mean operation counts per size, with the growth ratio of the
     multiplication count against the previous size.
 
@@ -289,7 +293,7 @@ def run_bench(semiring_name, algorithm, sizes, seeds, variant=VARIANT_RECOMPUTE)
             else:
                 r0, r, b = random_bellman(base, size, rng)
                 inst = InstanceFile(semiring=semiring_name, r0=r0, r=r, b=b)
-            _solve(CountingSemiring(base, counter), inst, algorithm, variant)
+            _solve(CountingSemiring(base, counter), inst, algorithm)
         row = {"size": size, "seeds": seeds}
         row.update((name, total / seeds) for name, total in asdict(counter).items())
         row["mul_ratio"] = None if prev_mul is None else row["mul_count"] / prev_mul
@@ -297,7 +301,6 @@ def run_bench(semiring_name, algorithm, sizes, seeds, variant=VARIANT_RECOMPUTE)
         prev_mul = row["mul_count"]
     return {
         "algorithm": algorithm,
-        "variant": variant,
         "semiring": semiring_name,
         "seed": DEFAULT_SEED,
         "rows": rows,
@@ -315,7 +318,6 @@ def _build_parser():
     solve = sub.add_parser("solve", help="solve one instance file")
     solve.add_argument("--semiring", required=True, help="instance name; must match the file")
     solve.add_argument("--algorithm", required=True, choices=ALGORITHMS)
-    solve.add_argument("--variant", default=VARIANT_RECOMPUTE, choices=VARIANTS)
     solve.add_argument("--check", action="store_true", help="verify sol = T sol + rhs")
     solve.add_argument("--count-ops", action="store_true", help="count semiring operations")
     solve.add_argument("--input", required=True, help="path to the JSON instance file")
@@ -323,7 +325,6 @@ def _build_parser():
     bench = sub.add_parser("bench", help="operation-count scaling over generated instances")
     bench.add_argument("--semiring", required=True)
     bench.add_argument("--algorithm", required=True, choices=ALGORITHMS)
-    bench.add_argument("--variant", default=VARIANT_RECOMPUTE, choices=VARIANTS)
     bench.add_argument("--sizes", required=True, help="comma-separated ascending sizes")
     bench.add_argument("--seeds", required=True, type=int, help="instances per size")
 
@@ -352,17 +353,14 @@ def main(argv=None):
                 sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
             except ValueError:
                 raise IncompatibleRequest(f"bad --sizes value {args.sizes!r}") from None
-            report = run_bench(args.semiring, args.algorithm, sizes, args.seeds, args.variant)
+            report = run_bench(args.semiring, args.algorithm, sizes, args.seeds)
         else:
             inst = parse_instance(args.input)
             if inst.semiring != args.semiring:
                 raise IncompatibleRequest(
                     f"--semiring {args.semiring!r} does not match the file's {inst.semiring!r}"
                 )
-            report = run_solve(
-                inst, args.algorithm, variant=args.variant,
-                check=args.check, count=args.count_ops,
-            )
+            report = run_solve(inst, args.algorithm, check=args.check, count=args.count_ops)
     except (SolverUndefined, NotStabilized) as exc:
         return _fail(exc, EXIT_UNDEFINED)
     except SemipathError as exc:

@@ -130,7 +130,12 @@ class Semiring:
         raise NotImplementedError
 
     def eq(self, a, b):
-        """Carrier equality; exact unless the instance is ``approximate``."""
+        """Carrier equality; exact unless an instance overrides it.
+
+        NonNegReal compares under FLOAT_REL_TOL, and MaxPlus does whenever an
+        operand is a float: float sums taken in another order, such as a
+        solver's and a residual check's, can differ in the last bits.
+        """
         return a == b
 
     def leq(self, a, b):
@@ -269,6 +274,13 @@ class MaxPlus(Semiring):
 
     def sample(self, rng):
         return rng.randint(-10, 10)
+
+    def eq(self, a, b):
+        # ints and the infinity sentinels compare exactly
+        if a == b:
+            return True
+        return ((isinstance(a, float) or isinstance(b, float))
+                and math.isclose(a, b, rel_tol=FLOAT_REL_TOL))
 
 
 class MaxPlusComplete(MaxPlus):

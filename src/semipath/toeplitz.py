@@ -18,10 +18,6 @@ alpha_k, where s_k is the sum the size-k step starred and alpha_k the entry
 it produced, so a step costs O(k) operations in its ``border_step`` alone.
 The update needs no inverse, so it runs on every instance; where
 (beta*)^-1 exists it equals the paper's closed form ``beta_update``.
-
-The variant names ``recompute`` (default), ``recursive`` and ``fallback``
-are all accepted and echoed in ``SolveState.variant``; they run the same
-update.
 """
 
 from dataclasses import dataclass
@@ -29,6 +25,9 @@ from dataclasses import dataclass
 from .bordering import _check_carrier, _star
 from .errors import ShapeMismatch
 
+# The names ``durbin``, ``levinson`` and ``cli.run_solve`` accept in their
+# ``variant`` slot; they select nothing.  ``benchmarks/workloads.py`` imports
+# them.
 VARIANT_RECOMPUTE = "recompute"
 VARIANT_RECURSIVE = "recursive"
 VARIANT_FALLBACK = "fallback"
@@ -50,12 +49,12 @@ class SolveState:
     y: list
     alpha: object
     beta: object
-    variant: str
     x: list = None
     mu: object = None
 
 
 def _check_variant(variant):
+    """ValueError unless ``variant`` is one of the accepted names."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
 
@@ -78,11 +77,10 @@ def beta_update(semiring, beta_prev, alpha_prev):
     return semiring.add(beta_prev, semiring.mul(inv, alpha_sq))
 
 
-def _steps(sr, r0, r, b, variant):
+def _steps(sr, r0, r, b):
     """The recursion behind ``durbin_steps`` and ``levinson_steps``: y/alpha
     is extended while k < len(r), x/mu only when a right-hand side b is given.
     """
-    _check_variant(variant)
     n = len(r) if b is None else len(b)
     if n < 1:
         raise ShapeMismatch("need at least one right-hand-side entry")
@@ -109,18 +107,18 @@ def _steps(sr, r0, r, b, variant):
         if k == n - 1:
             # an update can overflow while every new entry stays finite
             _check_carrier(sr, y if b is None else x, n)
-        yield SolveState(k=k + 1, y=list(y), alpha=alpha, beta=beta, variant=variant,
+        yield SolveState(k=k + 1, y=list(y), alpha=alpha, beta=beta,
                          x=None if x is None else list(x), mu=mu)
 
 
-def durbin_steps(semiring, r0, r, variant=VARIANT_RECOMPUTE):
+def durbin_steps(semiring, r0, r):
     """Yield a SolveState after each extension of the self-generated system.
 
     The state with k == j satisfies y = T_j y + r[:j] where T_j is the
     symmetric Toeplitz matrix with diagonal r0 and tail r[:j-1]; it is
     exactly what a run on the truncated input (r0, r[:j]) would return.
     """
-    yield from _steps(semiring, r0, r, None, variant)
+    yield from _steps(semiring, r0, r, None)
 
 
 def durbin(semiring, r0, r, variant=VARIANT_RECOMPUTE):
@@ -130,31 +128,38 @@ def durbin(semiring, r0, r, variant=VARIANT_RECOMPUTE):
     ClosureUndefined (with the failing subsystem size) when the recursion
     hits a pivot without a star, and OutsideCarrier (with the size) when a
     float overflow puts a pivot or an entry outside the carrier.
+
+    ``variant`` selects nothing: ``benchmarks/workloads.py`` still calls
+    ``durbin(sr, r0, r, name)`` with a name from ``VARIANTS``, so the slot
+    stays, and a name outside ``VARIANTS`` raises ValueError.
     """
+    _check_variant(variant)
     state = None
-    for state in durbin_steps(semiring, r0, r, variant):
+    for state in durbin_steps(semiring, r0, r):
         pass
     return state.y
 
 
-def levinson_steps(semiring, r0, r, b, variant=VARIANT_RECOMPUTE):
+def levinson_steps(semiring, r0, r, b):
     """Yield a SolveState per step of the arbitrary-rhs solver.
 
     Interleaves the self-generated recursion (y, alpha, beta) with the
     x/mu recursion for the actual right-hand side b; the final step skips
     the y extension since y is only needed to extend x further.
     """
-    yield from _steps(semiring, r0, r, b, variant)
+    yield from _steps(semiring, r0, r, b)
 
 
 def levinson(semiring, r0, r, b, variant=VARIANT_RECOMPUTE):
     """Solve x = T x + b where T is generated by (r0, r); len(r) = len(b) - 1.
 
     Returns the solution as a list of length len(b); error behaviour
-    matches ``durbin``.
+    matches ``durbin``.  ``variant`` selects nothing, as in ``durbin``:
+    ``benchmarks/workloads.py`` still calls ``levinson(sr, r0, r, b, name)``.
     """
+    _check_variant(variant)
     state = None
-    for state in levinson_steps(semiring, r0, r, b, variant):
+    for state in levinson_steps(semiring, r0, r, b):
         pass
     return state.x
 

@@ -14,7 +14,7 @@ from semipath.bordering import _check_carrier, _star
 
 def dot_pivot_steps(sr, r0, r, b=None):
     """A SolveState per size, as ``durbin_steps`` (b None) or
-    ``levinson_steps`` would yield it, with ``variant`` None."""
+    ``levinson_steps`` would yield it."""
     n = len(r) if b is None else len(b)
     beta, alpha, mu = r0, None, None
     y, x = [], None if b is None else []
@@ -32,7 +32,7 @@ def dot_pivot_steps(sr, r0, r, b=None):
             _check_carrier(sr, (alpha,), k + 1)
         if k == n - 1:
             _check_carrier(sr, y if b is None else x, n)
-        yield SolveState(k=k + 1, y=list(y), alpha=alpha, beta=beta, variant=None,
+        yield SolveState(k=k + 1, y=list(y), alpha=alpha, beta=beta,
                          x=None if x is None else list(x), mu=mu)
 
 

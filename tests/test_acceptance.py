@@ -142,7 +142,7 @@ def test_criterion_4_quasi_inverse_and_persymmetry():
 
 
 def test_criterion_5_variant_agreement():
-    # every variant updates the pivot in constant time; the reference
+    # the solvers update the pivot in constant time; the reference
     # recomputes it from its dot product r0 (+) r[:k] . y[:k] at every step
     rng = random.Random(1001)  # replay criterion 1's instance stream
     failures = []
@@ -157,11 +157,10 @@ def test_criterion_5_variant_agreement():
         except sp.SolverUndefined:
             continue
         completed += 1
-        for variant in sp.VARIANTS:
-            if sp.durbin(MP, r0, r, variant=variant) != y2:
-                failures.append(("maxplus-durbin", variant, case))
-            if sp.levinson(MP, r0b, rb, b, variant=variant) != x2:
-                failures.append(("maxplus-levinson", variant, case))
+        if sp.durbin(MP, r0, r) != y2:
+            failures.append(("maxplus-durbin", case))
+        if sp.levinson(MP, r0b, rb, b) != x2:
+            failures.append(("maxplus-levinson", case))
 
     rng = random.Random(1002)  # and criterion 2's
     for case in range(100):
@@ -174,16 +173,15 @@ def test_criterion_5_variant_agreement():
         except sp.SolverUndefined:
             continue
         completed += 1
-        for variant in sp.VARIANTS:
-            y1 = sp.durbin(NN, r0, r, variant=variant)
-            x1 = sp.levinson(NN, r0b, rb, b, variant=variant)
-            if not all(_rel_close(a, c) for a, c in zip(y1, y2)):
-                failures.append(("nonneg-durbin", variant, case))
-            if not all(_rel_close(a, c) for a, c in zip(x1, x2)):
-                failures.append(("nonneg-levinson", variant, case))
+        y1 = sp.durbin(NN, r0, r)
+        x1 = sp.levinson(NN, r0b, rb, b)
+        if not all(_rel_close(a, c) for a, c in zip(y1, y2)):
+            failures.append(("nonneg-durbin", case))
+        if not all(_rel_close(a, c) for a, c in zip(x1, x2)):
+            failures.append(("nonneg-levinson", case))
     if completed == 0:
         failures.append(("reference-never-completed",))
-    _report(5, "every pivot variant agrees with the recomputed dot-product "
+    _report(5, "the updated pivot agrees with the recomputed dot-product "
                "pivot on every completed criterion 1-2 instance", failures)
 
 

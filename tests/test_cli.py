@@ -21,7 +21,7 @@ from semipath.semirings import REGISTRY, MaxMin
 
 REPORT_KEYS = [
     "add_count", "mul_count", "closure_count", "inverse_count",
-    "solution", "algorithm", "variant", "semiring", "elapsed",
+    "solution", "algorithm", "semiring", "elapsed",
 ]
 
 
@@ -330,10 +330,30 @@ def test_main_residual_failure_exit_4(tmp_path, capsys, monkeypatch):
     assert json.loads(capsys.readouterr().out)["residual_ok"] is False
 
 
+def test_main_float_max_plus_residual_passes(tmp_path, capsys):
+    # durbin's and the residual check's float sums differ in the last bits here
+    path = write(tmp_path, {"semiring": "max-plus", "r0": -1.3578259377496948, "r": [
+        -1.9755139179478616, -2.642530180919752, -2.2329526637224024,
+        -0.6045506263720689, -2.732483341324393, -0.6770118994025807,
+        -0.5919162527215647, -1.666739052371152, -1.7613239007666506]})
+    code = main(["solve", "--semiring", "max-plus", "--algorithm", "durbin",
+                 "--check", "--input", path])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["residual_ok"] is True
+
+
 def test_main_rejects_bad_cli_usage(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--algorithm", "gauss", "--semiring", "max-plus", "--input", "x"])
     assert exc.value.code == 2
+    # there is one pivot update, so no flag selects one
+    for argv in (["solve", "--algorithm", "durbin", "--semiring", "max-plus",
+                  "--variant", "recompute", "--input", "x"],
+                 ["bench", "--algorithm", "durbin", "--semiring", "max-min",
+                  "--variant", "recursive", "--sizes", "4,8", "--seeds", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 def test_main_semirings_listing(capsys):
@@ -436,14 +456,6 @@ def test_main_bench_command(capsys):
 def test_main_bench_bad_sizes(capsys):
     assert main(["bench", "--semiring", "max-plus", "--algorithm", "durbin",
                  "--sizes", "8,oops", "--seeds", "1"]) == 2
-
-
-def test_main_bench_recursive_on_max_min(capsys):
-    code = main(["bench", "--semiring", "max-min", "--algorithm", "durbin",
-                 "--variant", "recursive", "--sizes", "4,8", "--seeds", "1"])
-    assert code == 0
-    rows = json.loads(capsys.readouterr().out)["rows"]
-    assert [row["inverse_count"] for row in rows] == [0, 0]
 
 
 def test_main_bench_typed_error_exit_2(capsys):

@@ -140,6 +140,20 @@ def test_canonical_leq_rejects_non_idempotent():
         NN.leq(1, 2)
 
 
+@pytest.mark.parametrize("sr", [MP, MPC], ids=lambda s: s.name)
+def test_maxplus_eq_forgives_float_rounding_only(sr):
+    # one float sum in two orders differs in the last bit
+    assert (-0.1 + -0.2) + -0.3 != -0.1 + (-0.2 + -0.3)
+    assert sr.eq((-0.1 + -0.2) + -0.3, -0.1 + (-0.2 + -0.3))
+    assert not sr.eq(-1.0, -1.0 - 1e-9)
+    # ints and the infinity sentinels compare exactly
+    assert not sr.eq(10**12, 10**12 + 1) and sr.eq(10**12, 10**12)
+    for v in sr.sentinels():
+        assert sr.eq(v, v) and not sr.eq(v, -v)
+        assert not sr.eq(v, 1e308) and not sr.eq(-1e308, v)
+    assert not sr.approximate
+
+
 @pytest.mark.parametrize("sr", [MP, MPC, MM, BOOL])
 def test_canonical_leq_is_partial_order(sr):
     samples = sr.default_samples()
