@@ -221,13 +221,18 @@ def test_beta_update_undefined_cases():
     assert sp.beta_update(MPC, 1, 0) is None             # star is +inf, no inverse
 
 
-def test_pivot_update_needs_no_inverse():
+def test_recursive_variant_needs_no_inverse():
     # max-min inverts only its unit; a positive max-plus-complete pivot has
     # star +inf, which has no inverse.  The reference recomputes every pivot
     # by its dot product.
     assert sp.durbin(MM, 3, [1, 2]) == dot_pivot_solve(MM, 3, [1, 2])
     assert sp.levinson(MPC, 1, [1], [1, 1]) == \
         dot_pivot_solve(MPC, 1, [1], [1, 1]) == [POS_INF, POS_INF]
+
+
+def test_fallback_matches_recompute_when_inverse_missing():
+    # positive pivot on the completed instance: star is +inf, inverse gone;
+    # the pivot update still agrees with the dot-product reference
     assert sp.levinson(MPC, 1, [1], [1, -2]) == dot_pivot_solve(MPC, 1, [1], [1, -2])
     assert sp.durbin(MPC, 1, [1, -2]) == dot_pivot_solve(MPC, 1, [1, -2]) == \
         [POS_INF, POS_INF]
