@@ -56,8 +56,11 @@ class Semiring:
     ``has_inverses``
         every element other than ``zero`` has a multiplicative inverse.
     ``approximate``
-        the carrier is floating-point; equality is tolerance-based and
-        iterative procedures use relative-change stopping rules.
+        the whole carrier is floating-point: iterative procedures use
+        relative-change stopping rules and the instance's values are
+        compared under a tolerance throughout.  False for MaxPlus, whose
+        ``eq`` alone forgives float rounding while ints and the infinity
+        sentinels compare exactly.
     """
 
     name = "abstract"

@@ -331,28 +331,29 @@ def test_pivot_update_identity_holds_on_every_step(name):
     sr = sp.get_semiring(name)
     rng = random.Random(f"pivot:{name}")
     pairs = defined = 0
-    for n in range(1, 41):
-        r0, r = random_yule_walker(sr, n, rng)
-        bl0, bl_r, b = random_bellman(sr, n, rng)
-        for r_used, states in (
-            (r, list(sp.durbin_steps(sr, r0, r))),
-            (bl_r, list(sp.levinson_steps(sr, bl0, bl_r, b))),
-        ):
-            for k in range(1, len(states)):
-                prev, cur = states[k - 1], states[k]
-                if k == 1:
-                    s = r_used[0]
-                else:
-                    s = sr.add(sr.dot(r_used[k - 2::-1], states[k - 2].y), r_used[k - 1])
-                expect = sr.add(prev.beta, sr.mul(s, prev.alpha))
-                assert _agree(sr, cur.beta, expect), (n, k)
-                pairs += 1
-                # the paper's closed form, wherever (beta*)^-1 exists
-                closed = sp.beta_update(sr, prev.beta, prev.alpha)
-                if closed is not None:
-                    assert _agree(sr, cur.beta, closed), (n, k)
-                    defined += 1
-    assert pairs == 2 * sum(range(40))
+    for _ in range(3):  # three draw passes from the one stream
+        for n in range(1, 41):
+            r0, r = random_yule_walker(sr, n, rng)
+            bl0, bl_r, b = random_bellman(sr, n, rng)
+            for r_used, states in (
+                (r, list(sp.durbin_steps(sr, r0, r))),
+                (bl_r, list(sp.levinson_steps(sr, bl0, bl_r, b))),
+            ):
+                for k in range(1, len(states)):
+                    prev, cur = states[k - 1], states[k]
+                    if k == 1:
+                        s = r_used[0]
+                    else:
+                        s = sr.add(sr.dot(r_used[k - 2::-1], states[k - 2].y), r_used[k - 1])
+                    expect = sr.add(prev.beta, sr.mul(s, prev.alpha))
+                    assert _agree(sr, cur.beta, expect), (n, k)
+                    pairs += 1
+                    # the paper's closed form, wherever (beta*)^-1 exists
+                    closed = sp.beta_update(sr, prev.beta, prev.alpha)
+                    if closed is not None:
+                        assert _agree(sr, cur.beta, closed), (n, k)
+                        defined += 1
+    assert pairs == 3 * 2 * sum(range(40))
     assert defined > 0
 
 
