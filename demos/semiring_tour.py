@@ -68,9 +68,6 @@ class BrokenMul(sp.Semiring):
     def closure(self, a):
         return None
 
-    def mul_inverse(self, a):
-        return None
-
     def contains(self, v):
         return isinstance(v, int)
 

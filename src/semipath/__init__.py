@@ -49,7 +49,6 @@ from .toeplitz import (
     VARIANT_RECOMPUTE,
     VARIANT_RECURSIVE,
     VARIANTS,
-    beta_update,
     durbin,
     durbin_steps,
     levinson,
@@ -83,7 +82,6 @@ __all__ = [
     "durbin_steps",
     "levinson",
     "levinson_steps",
-    "beta_update",
     "residual_check",
     "SolveState",
     "VARIANTS",

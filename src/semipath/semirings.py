@@ -3,16 +3,13 @@
 A semiring here is a carrier set with a commutative associative addition
 (neutral element ``zero``) and an associative multiplication (neutral
 element ``one``) such that multiplication distributes over addition and
-``zero`` annihilates under multiplication.  On top of the two total
-operations every instance exposes two *partial* ones:
-
-* ``closure(a)``: the star of a, the sum of all its powers
-  one + a + aa + ..., the semiring analogue of 1/(1 - a).  When defined,
-  star = add(one, mul(a, star)) and the mirrored identity both hold.
-* ``mul_inverse(a)``: an element b with mul(a, b) = one.
-
-Both return ``None`` where the corresponding value does not exist in the
-instance; callers decide whether that is an error.
+``zero`` annihilates under multiplication.  Besides the two total
+operations, ``closure(a)`` is the only *partial* one: the star of a, the
+sum of all its powers one + a + aa + ..., the semiring analogue of
+1/(1 - a).  When defined, star = add(one, mul(a, star)) and the mirrored
+identity both hold.  It returns ``None`` where the star does not exist in
+the instance; callers decide whether that is an error.  No algorithm needs
+a multiplicative inverse.
 
 Values are plain Python objects (ints, floats, ``float('inf')`` sentinels,
 or anything the operations accept); the instance object carries the
@@ -54,7 +51,8 @@ class Semiring:
     ``complete``
         arbitrary sums exist, so ``closure`` is total.
     ``has_inverses``
-        every element other than ``zero`` has a multiplicative inverse.
+        every element other than ``zero`` has a multiplicative inverse; no
+        solver reads it, ``benchmarks/workloads.py`` still does.
     ``approximate``
         the whole carrier is floating-point: iterative procedures use
         relative-change stopping rules and the instance's values are
@@ -116,10 +114,6 @@ class Semiring:
         extended.append(new)
         return extended, new, rhs_k
 
-    def mul_inverse(self, a):
-        """Return b with mul(a, b) = one, or None when a is not invertible."""
-        raise NotImplementedError
-
     def contains(self, v):
         """Whether v is a member of the carrier (sentinels included)."""
         raise NotImplementedError
@@ -178,8 +172,7 @@ class Semiring:
 class NonNegReal(Semiring):
     """Ordinary arithmetic restricted to the nonnegative reals.
 
-    closure(a) = 1/(1 - a) for a < 1 and is undefined otherwise; every
-    positive element has the usual reciprocal as inverse.
+    closure(a) = 1/(1 - a) for a < 1 and is undefined otherwise.
     """
 
     name = "nonneg-real"
@@ -212,11 +205,6 @@ class NonNegReal(Semiring):
             return self.one
         return 1 / (1 - a)
 
-    def mul_inverse(self, a):
-        if a == self.zero:
-            return None
-        return 1 / a
-
     def contains(self, v):
         return _is_number(v) and v >= 0 and v != POS_INF
 
@@ -234,7 +222,7 @@ class MaxPlus(Semiring):
     multiplicative unit is 0.
 
     closure(a) = 0 for a <= 0 (boundary included) and is undefined for
-    a > 0; the inverse of a finite a is -a.
+    a > 0.
     """
 
     name = "max-plus"
@@ -263,11 +251,6 @@ class MaxPlus(Semiring):
 
     def closure(self, a):
         return self.one if a <= self.one else None
-
-    def mul_inverse(self, a):
-        if a == NEG_INF:
-            return None
-        return -a
 
     def contains(self, v):
         return v == NEG_INF or (_is_number(v) and v != POS_INF)
@@ -331,11 +314,6 @@ class MaxPlusComplete(MaxPlus):
     def closure(self, a):
         return self.one if a <= self.one else POS_INF
 
-    def mul_inverse(self, a):
-        if a == NEG_INF or a == POS_INF:
-            return None
-        return -a
-
     def contains(self, v):
         return v == NEG_INF or v == POS_INF or _is_number(v)
 
@@ -347,8 +325,6 @@ class MaxMin(Semiring):
     """The extended reals under (max, min); zero is -inf, one is +inf.
 
     Every element has closure one: a* = max(one, min(a, a), ...) = +inf.
-    Only the unit itself is invertible (min(a, x) can only reach +inf
-    when both sides are +inf).
     """
 
     name = "max-min"
@@ -376,9 +352,6 @@ class MaxMin(Semiring):
 
     def closure(self, a):
         return self.one
-
-    def mul_inverse(self, a):
-        return self.one if a == self.one else None
 
     def contains(self, v):
         return v == NEG_INF or v == POS_INF or _is_number(v)
@@ -423,9 +396,6 @@ class Boolean(Semiring):
     def closure(self, a):
         return 1
 
-    def mul_inverse(self, a):
-        return 1 if a == 1 else None
-
     def contains(self, v):
         return v == 0 or v == 1
 
@@ -440,11 +410,11 @@ class OpCounter:
     add_count: int = 0
     mul_count: int = 0
     closure_count: int = 0
-    inverse_count: int = 0
+    inverse_count: int = 0  # always 0; benchmarks/run.py reads it
 
 
 class CountingSemiring(Semiring):
-    """Wrap another instance and count every add/mul/closure/inverse call.
+    """Wrap another instance and count every add/mul/closure call.
 
     Results are identical to the wrapped instance's; only the counter is
     touched.  A counter belongs to a single solver invocation: create a
@@ -474,10 +444,6 @@ class CountingSemiring(Semiring):
     def closure(self, a):
         self.counter.closure_count += 1
         return self.inner.closure(a)
-
-    def mul_inverse(self, a):
-        self.counter.inverse_count += 1
-        return self.inner.mul_inverse(a)
 
     def contains(self, v):
         return self.inner.contains(v)

