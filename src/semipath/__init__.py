@@ -32,12 +32,10 @@ from .semirings import (
     NEG_INF,
     POS_INF,
     Boolean,
-    CountingSemiring,
     MaxMin,
     MaxPlus,
     MaxPlusComplete,
     NonNegReal,
-    OpCounter,
     REGISTRY,
     Semiring,
     axiom_suite,
@@ -57,6 +55,15 @@ from .toeplitz import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # the counting wrapper needs dataclasses, which a plain solve never loads
+    if name in ("CountingSemiring", "OpCounter"):
+        from . import counting
+        return getattr(counting, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "Semiring",

@@ -20,7 +20,7 @@ import math
 import random
 import sys
 import time
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 
 from .bordering import _check_carrier, bordering_solve, series_closure
 from .errors import (
@@ -32,14 +32,7 @@ from .errors import (
     SolverUndefined,
 )
 from .matrices import Matrix, SymToeplitz
-from .semirings import (
-    NEG_INF,
-    POS_INF,
-    CountingSemiring,
-    OpCounter,
-    REGISTRY,
-    get_semiring,
-)
+from .semirings import NEG_INF, POS_INF, REGISTRY, get_semiring
 from .toeplitz import VARIANT_RECOMPUTE, _check_variant, durbin, levinson, residual_check
 
 ALGORITHMS = ("durbin", "levinson", "bordering", "series")
@@ -53,16 +46,16 @@ EXIT_REQUEST = 2
 EXIT_UNDEFINED = 3
 EXIT_RESIDUAL = 4
 
+#: ``asdict(OpCounter())``, spelled out so an uncounted solve never imports
+#: the counting module and with it ``dataclasses``
+_NO_COUNTS = {"add_count": 0, "mul_count": 0, "closure_count": 0, "inverse_count": 0}
 
-@dataclass
-class InstanceFile:
+
+class InstanceFile(namedtuple("InstanceFile", "semiring r0 r b", defaults=(None,))):
     """Decoded instance: semiring name, diagonal scalar, generator/rhs
     column r, and (for arbitrary-rhs problems) the column b."""
 
-    semiring: str
-    r0: object
-    r: list
-    b: list = None
+    __slots__ = ()
 
 
 def decode_value(sr, raw, where):
@@ -206,11 +199,13 @@ def run_solve(inst, algorithm, variant=VARIANT_RECOMPUTE, check=False, count=Fal
     started = time.perf_counter()
     solution = _solve(base, inst, algorithm)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
-    counter = OpCounter()
     if count:
+        from .counting import CountingSemiring, OpCounter
+        counter = OpCounter()
         _solve(CountingSemiring(base, counter), inst, algorithm)
-
-    report = asdict(counter)
+        report = dict(vars(counter))
+    else:
+        report = dict(_NO_COUNTS)
     if check:
         tail, rhs = _toeplitz_parts(inst)
         report["residual_ok"] = residual_check(SymToeplitz(inst.r0, tail, base), solution, rhs)
@@ -280,6 +275,7 @@ def run_bench(semiring_name, algorithm, sizes, seeds):
     if seeds < 1:
         raise IncompatibleRequest("need at least one seed")
 
+    from .counting import CountingSemiring, OpCounter
     base = get_semiring(semiring_name)
     rows = []
     prev_mul = None
@@ -295,7 +291,7 @@ def run_bench(semiring_name, algorithm, sizes, seeds):
                 inst = InstanceFile(semiring=semiring_name, r0=r0, r=r, b=b)
             _solve(CountingSemiring(base, counter), inst, algorithm)
         row = {"size": size, "seeds": seeds}
-        row.update((name, total / seeds) for name, total in asdict(counter).items())
+        row.update((name, total / seeds) for name, total in vars(counter).items())
         row["mul_ratio"] = None if prev_mul is None else row["mul_count"] / prev_mul
         rows.append(row)
         prev_mul = row["mul_count"]

@@ -5,8 +5,6 @@ and every operation returns a fresh matrix.  Column vectors are n-by-1
 matrices, there is no separate vector type.
 """
 
-from dataclasses import dataclass, field
-
 from .errors import InstanceMismatch, ShapeMismatch, UnsupportedInstance
 
 
@@ -186,18 +184,20 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols}, {self.semiring.name}, {self.to_rows()!r})"
 
 
-@dataclass(frozen=True)
 class SymToeplitz:
     """Compact symmetric Toeplitz matrix: the diagonal scalar plus the tail
     of the first row.  Entry (i, j) of the expanded matrix is the value at
     lag |i - j|."""
 
-    r0: object
-    tail: tuple
-    semiring: object = field(repr=False)
+    __slots__ = ("r0", "tail", "semiring")
 
-    def __post_init__(self):
-        object.__setattr__(self, "tail", tuple(self.tail))
+    def __init__(self, r0, tail, semiring):
+        self.r0 = r0
+        self.tail = tuple(tail)
+        self.semiring = semiring
+
+    def __repr__(self):
+        return f"SymToeplitz(r0={self.r0!r}, tail={self.tail!r})"
 
     @property
     def n(self):

@@ -19,7 +19,6 @@ operations, not the values.
 import math
 import operator
 import random
-from dataclasses import dataclass
 from functools import reduce
 
 from .errors import ShapeMismatch, UnknownSemiring, UnsupportedInstance
@@ -401,61 +400,6 @@ class Boolean(Semiring):
 
     def sample(self, rng):
         return rng.randint(0, 1)
-
-
-@dataclass
-class OpCounter:
-    """Tallies of the scalar operations performed through a CountingSemiring."""
-
-    add_count: int = 0
-    mul_count: int = 0
-    closure_count: int = 0
-    inverse_count: int = 0  # always 0; benchmarks/run.py reads it
-
-
-class CountingSemiring(Semiring):
-    """Wrap another instance and count every add/mul/closure call.
-
-    Results are identical to the wrapped instance's; only the counter is
-    touched.  A counter belongs to a single solver invocation: create a
-    fresh wrapper per measurement and never share one across concurrent
-    solves.
-    """
-
-    def __init__(self, inner, counter=None):
-        self.inner = inner
-        self.counter = counter if counter is not None else OpCounter()
-        self.name = inner.name
-        self.idempotent = inner.idempotent
-        self.complete = inner.complete
-        self.has_inverses = inner.has_inverses
-        self.approximate = inner.approximate
-        self.zero = inner.zero
-        self.one = inner.one
-
-    def add(self, a, b):
-        self.counter.add_count += 1
-        return self.inner.add(a, b)
-
-    def mul(self, a, b):
-        self.counter.mul_count += 1
-        return self.inner.mul(a, b)
-
-    def closure(self, a):
-        self.counter.closure_count += 1
-        return self.inner.closure(a)
-
-    def contains(self, v):
-        return self.inner.contains(v)
-
-    def sentinels(self):
-        return self.inner.sentinels()
-
-    def sample(self, rng):
-        return self.inner.sample(rng)
-
-    def eq(self, a, b):
-        return self.inner.eq(a, b)
 
 
 def axiom_suite(instance, samples=None):

@@ -1,7 +1,11 @@
 """Instance-file parsing, solve/bench dispatch, exit codes, determinism."""
 
 import json
+import os
 import random
+import subprocess
+import sys
+from dataclasses import asdict
 from types import SimpleNamespace
 
 import pytest
@@ -148,6 +152,14 @@ def test_run_solve_counts_zero_when_disabled():
     assert report["add_count"] == report["mul_count"] == 0
     assert report["closure_count"] == report["inverse_count"] == 0
     assert "residual_ok" not in report
+
+
+def test_uncounted_report_leads_with_a_zero_counter():
+    # run_solve spells the zero counter out so that an uncounted solve never
+    # imports dataclasses; the literal must not drift from OpCounter
+    zero = asdict(sp.OpCounter())
+    report = run_solve(InstanceFile(semiring="max-plus", r0=-1, r=[-2, -3]), "durbin")
+    assert list(report.items())[:len(zero)] == list(zero.items())
 
 
 def test_run_solve_incompatible_requests():
@@ -342,6 +354,35 @@ def test_main_float_max_plus_residual_passes(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["residual_ok"] is True
 
 
+# Accepted inputs on which levinson, bordering and series all return a wrong
+# solution that only the residual check catches (exit 4).  A correct solution
+# or a typed error would both flip these tests.
+RESIDUAL_DEFECTS = {
+    # -1e308 + -1e308 overflows to -inf, the max-plus zero, so mul stops
+    # being associative; the least solution is all inf
+    "max-plus-complete-overflow": {
+        "semiring": "max-plus-complete", "r0": -3,
+        "r": [-1e308, "-inf", -1e308, "inf"], "b": [0.0, "-inf", -0.0, -0.5, -1],
+    },
+    # subnormal intermediates put x[0] off by 10-19%
+    "nonneg-real-subnormal": {"semiring": "nonneg-real", "r0": 0.1, "r": [5e-324],
+                              "b": [0, 1e154]},
+}
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="float overflow and subnormals: residual fails, no typed error")
+@pytest.mark.parametrize("algorithm", ["levinson", "bordering", "series"])
+@pytest.mark.parametrize("case", sorted(RESIDUAL_DEFECTS))
+def test_accepted_input_solves_or_raises_a_typed_error(tmp_path, case, algorithm):
+    inst = parse_instance(write(tmp_path, RESIDUAL_DEFECTS[case]))
+    try:
+        report = run_solve(inst, algorithm, check=True)
+    except sp.SemipathError:
+        return
+    assert report["residual_ok"]
+
+
 def test_main_rejects_bad_cli_usage(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--algorithm", "gauss", "--semiring", "max-plus", "--input", "x"])
@@ -531,3 +572,31 @@ def test_bench_runs_a_newly_registered_complete_semiring(monkeypatch):
     reference = run_bench("max-min", "levinson", [2, 4, 8], 2)
     assert plugged["semiring"] == "bottleneck"
     assert plugged["rows"] == reference["rows"]
+
+
+# -- import path ----------------------------------------------------------------
+
+IMPORT_PROBE = """
+import json, sys
+before = set(sys.modules)
+import semipath.cli
+loaded = sorted(set(sys.modules) - before)
+from semipath import CountingSemiring, OpCounter
+import dataclasses
+print(json.dumps({"loaded": loaded, "counter_is_dataclass": dataclasses.is_dataclass(OpCounter),
+                  "wrapper": CountingSemiring.__name__}))
+"""
+
+
+def test_cli_import_leaves_dataclasses_and_the_counter_unloaded():
+    # a fresh interpreter, so this process's imports do not count; the probe
+    # lists the modules that importing the cli added
+    src = os.path.dirname(os.path.dirname(sp.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env,
+                          capture_output=True, text=True, check=True, timeout=60)
+    probe = json.loads(proc.stdout)
+    assert not {"dataclasses", "inspect", "ast", "dis", "semipath.counting"} & set(probe["loaded"])
+    assert probe["counter_is_dataclass"] is True  # benchmarks/layers.py calls asdict on it
+    assert probe["wrapper"] == "CountingSemiring"
