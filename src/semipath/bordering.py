@@ -215,7 +215,8 @@ def series_closure(A, max_terms=None):
 
 
 def _close_cycles(S, A):
-    """S (+) the sum over c of S[:, c] (A+_cc)* S[c, :], with A+ = S A.
+    """S (+) V S with V[i, c] = S[i, c] (A+_cc)* and A+ = S A: S plus, for
+    each node c, the walks that pass through c and take its star there.
 
     S holds every walk of at most n edges, so it covers every simple path
     and A+_cc every simple cycle through c.  On an idempotent instance a
@@ -225,15 +226,9 @@ def _close_cycles(S, A):
     """
     sr, n = A.semiring, A.rows
     plus = S.mul(A)
-    data = list(S.data)
-    for c in range(n):
-        star = sr.closure(plus[c, c])
-        row = S.row_values(c)
-        for i in range(n):
-            via = sr.mul(S[i, c], star)
-            for j in range(n):
-                data[i * n + j] = sr.add(data[i * n + j], sr.mul(via, row[j]))
-    return Matrix(n, n, data, sr)
+    stars = [sr.closure(plus[c, c]) for c in range(n)]
+    via = Matrix(n, n, [sr.mul(S[i, c], stars[c]) for i in range(n) for c in range(n)], sr)
+    return S.add(via.mul(S))
 
 
 def enumerate_solutions(A, b):

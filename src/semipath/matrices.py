@@ -5,7 +5,7 @@ and every operation returns a fresh matrix.  Column vectors are n-by-1
 matrices, there is no separate vector type.
 """
 
-from .errors import InstanceMismatch, ShapeMismatch, UnsupportedInstance
+from .errors import InstanceMismatch, ShapeMismatch
 
 
 class Matrix:
@@ -147,26 +147,16 @@ class Matrix:
         return all(eq(a[i], b[i]) for i in range(len(a)))
 
     def leq(self, other):
-        """Elementwise canonical order; idempotent instances only."""
-        if not self.semiring.idempotent:
-            raise UnsupportedInstance(
-                f"{self.semiring.name} is not idempotent; it has no canonical order"
-            )
+        """Elementwise canonical order: ShapeMismatch first, then, as
+        ``Semiring.leq``, UnsupportedInstance on a non-idempotent instance."""
         if self.rows != other.rows or self.cols != other.cols:
             raise ShapeMismatch("order comparison needs equal shapes")
-        sr = self.semiring
-        a, b = self.data, other.data
-        return all(sr.eq(sr.add(a[i], b[i]), b[i]) for i in range(len(a)))
+        return all(map(self.semiring.leq, self.data, other.data))
 
     def is_symmetric(self):
         if not self.is_square:
             raise ShapeMismatch("symmetry is defined for square matrices")
-        n = self.rows
-        eq = self.semiring.eq
-        d = self.data
-        return all(
-            eq(d[i * n + j], d[j * n + i]) for i in range(n) for j in range(i + 1, n)
-        )
+        return self.equals(self.transpose())
 
     def is_persymmetric(self):
         """Symmetry about the anti-diagonal: A equals E A^T E entrywise."""

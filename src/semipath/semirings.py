@@ -34,6 +34,17 @@ def _is_number(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool) and v == v
 
 
+def _float_eq(self, a, b):
+    """``eq`` of the instances with float values: ints and the infinity
+    sentinels compare exactly, and a float operand under FLOAT_REL_TOL, since
+    float sums taken in another order, such as a solver's and a residual
+    check's, can differ in the last bits."""
+    if a == b:
+        return True
+    return ((isinstance(a, float) or isinstance(b, float))
+            and math.isclose(a, b, rel_tol=FLOAT_REL_TOL))
+
+
 def _check_dot(xs, ys):
     """ShapeMismatch unless xs and ys have one length k >= 1."""
     if not len(xs) or len(ys) != len(xs):
@@ -53,11 +64,9 @@ class Semiring:
         every element other than ``zero`` has a multiplicative inverse; no
         solver reads it, ``benchmarks/workloads.py`` still does.
     ``approximate``
-        the whole carrier is floating-point: iterative procedures use
-        relative-change stopping rules and the instance's values are
-        compared under a tolerance throughout.  False for MaxPlus, whose
-        ``eq`` alone forgives float rounding while ints and the infinity
-        sentinels compare exactly.
+        the carrier is floating-point: ``series_closure`` stops on a small
+        relative change and allows a longer term budget.  It decides no
+        comparison; ``eq`` alone decides where float rounding is forgiven.
     """
 
     name = "abstract"
@@ -128,9 +137,8 @@ class Semiring:
     def eq(self, a, b):
         """Carrier equality; exact unless an instance overrides it.
 
-        NonNegReal compares under FLOAT_REL_TOL, and MaxPlus does whenever an
-        operand is a float: float sums taken in another order, such as a
-        solver's and a residual check's, can differ in the last bits.
+        NonNegReal, MaxPlus and MaxPlusComplete compare a float operand under
+        FLOAT_REL_TOL (see ``_float_eq``).
         """
         return a == b
 
@@ -146,18 +154,19 @@ class Semiring:
             )
         return self.eq(self.add(a, b), b)
 
-    def default_samples(self, count=8, seed=42):
-        """Deterministic sample set: zero, one, sentinels, then seeded draws.
+    def default_samples(self):
+        """Deterministic sample set: zero, one, sentinels, then draws seeded
+        with 42, eight distinct values in all.
 
-        Small carriers may yield fewer than ``count`` distinct values.
+        Small carriers may yield fewer.
         """
-        rng = random.Random(seed)
+        rng = random.Random(42)
         out = []
         for v in (self.zero, self.one, *self.sentinels()):
             if v not in out:
                 out.append(v)
         attempts = 0
-        while len(out) < count and attempts < 64 * count:
+        while len(out) < 8 and attempts < 512:
             v = self.sample(rng)
             attempts += 1
             if v not in out:
@@ -210,10 +219,7 @@ class NonNegReal(Semiring):
     def sample(self, rng):
         return rng.uniform(0.0, 1.8)
 
-    def eq(self, a, b):
-        if a == b:
-            return True
-        return math.isclose(a, b, rel_tol=FLOAT_REL_TOL)
+    eq = _float_eq
 
 
 class MaxPlus(Semiring):
@@ -260,12 +266,7 @@ class MaxPlus(Semiring):
     def sample(self, rng):
         return rng.randint(-10, 10)
 
-    def eq(self, a, b):
-        # ints and the infinity sentinels compare exactly
-        if a == b:
-            return True
-        return ((isinstance(a, float) or isinstance(b, float))
-                and math.isclose(a, b, rel_tol=FLOAT_REL_TOL))
+    eq = _float_eq
 
 
 class MaxPlusComplete(MaxPlus):

@@ -152,6 +152,9 @@ def test_elementwise_leq_errors():
         Matrix.identity(2, NN).leq(Matrix.identity(2, NN))
     with pytest.raises(sp.ShapeMismatch):
         Matrix.identity(2, MP).leq(Matrix.identity(3, MP))
+    # shapes are checked before the instance's order
+    with pytest.raises(sp.ShapeMismatch):
+        Matrix.identity(2, NN).leq(Matrix.identity(3, NN))
 
 
 # -- Toeplitz expansion --------------------------------------------------------------
