@@ -22,15 +22,14 @@ claims.
 import math
 
 from .errors import (
-    ClosureUndefined,
     EnumerationTooLarge,
     InstanceMismatch,
     NotStabilized,
-    OutsideCarrier,
     ShapeMismatch,
     UnsupportedInstance,
 )
 from .matrices import Matrix
+from .semirings import _check_carrier, _star
 
 #: relative-change threshold for detecting stabilization on float carriers
 SERIES_REL_TOL = 1e-12
@@ -69,30 +68,6 @@ def _rhs_values(A, b):
     if len(bs) != A.rows:
         raise ShapeMismatch(f"right-hand side must have length {A.rows}")
     return bs
-
-
-def _star(sr, value, step):
-    """The closure of ``value``, or an error naming ``step``, the size of the
-    leading subsystem that needed it: OutsideCarrier when ``value`` left the
-    carrier, ClosureUndefined when its star does not exist."""
-    if not sr.contains(value):
-        raise OutsideCarrier(
-            step, value, f"pivot {value!r} at size {step} is outside the {sr.name} carrier"
-        )
-    star = sr.closure(value)
-    if star is None:
-        raise ClosureUndefined(step, value, f"closure undefined in {sr.name} at size {step}")
-    return star
-
-
-def _check_carrier(sr, values, step):
-    """OutsideCarrier naming ``step`` at the first entry of ``values`` that is
-    not in the carrier: a float that overflowed to inf, or a NaN from one."""
-    for v in values:
-        if not sr.contains(v):
-            raise OutsideCarrier(
-                step, v, f"solution entry {v!r} at size {step} is outside the {sr.name} carrier"
-            )
 
 
 def _bordering_steps(sr, rows):
@@ -181,7 +156,10 @@ def series_closure(A, max_terms=None):
     exact one, never counts as stable.  On a complete idempotent instance,
     such as max-plus-complete with a positive cycle, a budget of at least n
     terms that runs out closes the cycles through each node with its scalar
-    star, so the oracle is total there.
+    star, so the oracle is total there.  Of the registered instances only
+    max-plus-complete reaches that step: on max-min and boolean
+    one (+) a = one, so the partial sums stop changing by n - 1 terms and a
+    budget of n terms never runs out.
     """
     _require_square(A)
     sr = A.semiring
@@ -222,7 +200,8 @@ def _close_cycles(S, A):
     and A+_cc every simple cycle through c.  On an idempotent instance a
     walk through a node whose cycles sum past ``one`` then takes that
     node's star (+inf on max-plus-complete), and every other walk is
-    already in S.
+    already in S.  ``series_closure`` calls it on max-plus-complete alone:
+    the max-min and boolean sums are stable before the budget runs out.
     """
     sr, n = A.semiring, A.rows
     plus = S.mul(A)

@@ -22,7 +22,6 @@ import sys
 import time
 from collections import namedtuple
 
-from .bordering import _check_carrier, bordering_solve, series_closure
 from .errors import (
     BadSentinel,
     IncompatibleRequest,
@@ -31,9 +30,15 @@ from .errors import (
     SemipathError,
     SolverUndefined,
 )
-from .matrices import Matrix, SymToeplitz
-from .semirings import NEG_INF, POS_INF, REGISTRY, get_semiring
-from .toeplitz import VARIANT_RECOMPUTE, _check_variant, durbin, levinson, residual_check
+from .semirings import NEG_INF, POS_INF, REGISTRY, _check_carrier, get_semiring
+from .toeplitz import (
+    VARIANT_RECOMPUTE,
+    SymToeplitz,
+    _check_variant,
+    durbin,
+    levinson,
+    residual_check,
+)
 
 ALGORITHMS = ("durbin", "levinson", "bordering", "series")
 
@@ -165,6 +170,10 @@ def _solve(sr, inst, algorithm):
         return durbin(sr, inst.r0, inst.r)
     if algorithm == "levinson":
         return levinson(sr, inst.r0, inst.r, inst.b)
+    # the cubic and dense modules load only for the two routes that need them
+    from .bordering import bordering_solve, series_closure
+    from .matrices import Matrix
+
     T = SymToeplitz(inst.r0, tail, sr).expand()
     if algorithm == "bordering":
         return bordering_solve(T, rhs).to_flat()

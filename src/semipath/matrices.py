@@ -1,8 +1,9 @@
-"""Dense matrices over a semiring, plus the compact symmetric Toeplitz form.
+"""Dense matrices over a semiring.
 
 Storage is a flat row-major list; matrices are treated as immutable values
 and every operation returns a fresh matrix.  Column vectors are n-by-1
-matrices, there is no separate vector type.
+matrices, there is no separate vector type.  The compact symmetric Toeplitz
+form is ``toeplitz.SymToeplitz``; it builds a Matrix only in ``expand``.
 """
 
 from .errors import InstanceMismatch, ShapeMismatch
@@ -172,39 +173,3 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols}, {self.semiring.name}, {self.to_rows()!r})"
-
-
-class SymToeplitz:
-    """Compact symmetric Toeplitz matrix: the diagonal scalar plus the tail
-    of the first row.  Entry (i, j) of the expanded matrix is the value at
-    lag |i - j|."""
-
-    __slots__ = ("r0", "tail", "semiring")
-
-    def __init__(self, r0, tail, semiring):
-        self.r0 = r0
-        self.tail = tuple(tail)
-        self.semiring = semiring
-
-    def __repr__(self):
-        return f"SymToeplitz(r0={self.r0!r}, tail={self.tail!r})"
-
-    @property
-    def n(self):
-        return len(self.tail) + 1
-
-    def expand(self):
-        """Dense n-by-n matrix; symmetric and persymmetric by construction."""
-        lag = (self.r0,) + self.tail
-        n = self.n
-        data = [lag[abs(i - j)] for i in range(n) for j in range(n)]
-        return Matrix(n, n, data, self.semiring)
-
-    def matvec(self, xs):
-        """Product of the expanded matrix with a column, without expanding."""
-        n = self.n
-        if len(xs) != n:
-            raise ShapeMismatch(f"vector has length {len(xs)}, matrix is {n}x{n}")
-        lag = (self.r0,) + self.tail
-        # row i holds lags i, i-1, ..., 1, 0, 1, ..., n-1-i
-        return [self.semiring.dot(lag[i:0:-1] + lag[:n - i], xs) for i in range(n)]

@@ -21,7 +21,13 @@ import operator
 import random
 from functools import reduce
 
-from .errors import ShapeMismatch, UnknownSemiring, UnsupportedInstance
+from .errors import (
+    ClosureUndefined,
+    OutsideCarrier,
+    ShapeMismatch,
+    UnknownSemiring,
+    UnsupportedInstance,
+)
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
@@ -175,6 +181,30 @@ class Semiring:
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.name!r}>"
+
+
+def _star(sr, value, step):
+    """The closure of ``value``, or an error naming ``step``, the size of the
+    leading subsystem that needed it: OutsideCarrier when ``value`` left the
+    carrier, ClosureUndefined when its star does not exist."""
+    if not sr.contains(value):
+        raise OutsideCarrier(
+            step, value, f"pivot {value!r} at size {step} is outside the {sr.name} carrier"
+        )
+    star = sr.closure(value)
+    if star is None:
+        raise ClosureUndefined(step, value, f"closure undefined in {sr.name} at size {step}")
+    return star
+
+
+def _check_carrier(sr, values, step):
+    """OutsideCarrier naming ``step`` at the first entry of ``values`` that is
+    not in the carrier: a float that overflowed to inf, or a NaN from one."""
+    for v in values:
+        if not sr.contains(v):
+            raise OutsideCarrier(
+                step, v, f"solution entry {v!r} at size {step} is outside the {sr.name} carrier"
+            )
 
 
 class NonNegReal(Semiring):

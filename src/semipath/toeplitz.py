@@ -20,12 +20,18 @@ The update needs no inverse, so it runs on every instance; where
 (beta*)^-1 exists it equals the paper's closed form beta + (beta*)^-1 alpha^2,
 because alpha = beta* s; ``tests/pivot_reference.py`` keeps that form as a
 test reference.
+
+``SymToeplitz`` is the compact matrix (r0 and the first-row tail) that
+``residual_check`` multiplies without expanding.  The module needs only the
+scalar operations and ``semirings._star``: it loads the dense ``matrices``
+module only when ``SymToeplitz.expand`` builds a Matrix, and never the cubic
+``bordering`` module.
 """
 
 from collections import namedtuple
 
-from .bordering import _check_carrier, _star
 from .errors import ShapeMismatch
+from .semirings import _check_carrier, _star
 
 # The names ``durbin``, ``levinson`` and ``cli.run_solve`` accept in their
 # ``variant`` slot; they select nothing.  ``benchmarks/workloads.py`` imports
@@ -34,6 +40,44 @@ VARIANT_RECOMPUTE = "recompute"
 VARIANT_RECURSIVE = "recursive"
 VARIANT_FALLBACK = "fallback"
 VARIANTS = (VARIANT_RECOMPUTE, VARIANT_RECURSIVE, VARIANT_FALLBACK)
+
+
+class SymToeplitz:
+    """Compact symmetric Toeplitz matrix: the diagonal scalar plus the tail
+    of the first row.  Entry (i, j) of the expanded matrix is the value at
+    lag |i - j|."""
+
+    __slots__ = ("r0", "tail", "semiring")
+
+    def __init__(self, r0, tail, semiring):
+        self.r0 = r0
+        self.tail = tuple(tail)
+        self.semiring = semiring
+
+    def __repr__(self):
+        return f"SymToeplitz(r0={self.r0!r}, tail={self.tail!r})"
+
+    @property
+    def n(self):
+        return len(self.tail) + 1
+
+    def expand(self):
+        """Dense n-by-n matrix; symmetric and persymmetric by construction."""
+        from .matrices import Matrix  # the dense type loads only where one is built
+
+        lag = (self.r0,) + self.tail
+        n = self.n
+        data = [lag[abs(i - j)] for i in range(n) for j in range(n)]
+        return Matrix(n, n, data, self.semiring)
+
+    def matvec(self, xs):
+        """Product of the expanded matrix with a column, without expanding."""
+        n = self.n
+        if len(xs) != n:
+            raise ShapeMismatch(f"vector has length {len(xs)}, matrix is {n}x{n}")
+        lag = (self.r0,) + self.tail
+        # row i holds lags i, i-1, ..., 1, 0, 1, ..., n-1-i
+        return [self.semiring.dot(lag[i:0:-1] + lag[:n - i], xs) for i in range(n)]
 
 
 class SolveState(namedtuple("SolveState", "k y alpha beta x mu", defaults=(None, None))):

@@ -1,5 +1,6 @@
 """Instance-file parsing, solve/bench dispatch, exit codes, determinism."""
 
+import importlib
 import json
 import os
 import random
@@ -577,26 +578,117 @@ def test_bench_runs_a_newly_registered_complete_semiring(monkeypatch):
 # -- import path ----------------------------------------------------------------
 
 IMPORT_PROBE = """
-import json, sys
+import io, json, sys
+from contextlib import redirect_stdout
 before = set(sys.modules)
 import semipath.cli
 loaded = sorted(set(sys.modules) - before)
+
+
+def solve(algorithm):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = semipath.cli.main(["solve", "--semiring", "max-plus", "--algorithm", algorithm,
+                                  "--check", "--input", sys.argv[1]])
+    modules = sorted(m for m in sys.modules if m.split(".")[0] == "semipath")
+    return {"code": code, "report": json.loads(out.getvalue()), "modules": modules}
+
+
+levinson = solve("levinson")
+bordering = solve("bordering")
 from semipath import CountingSemiring, OpCounter
 import dataclasses
-print(json.dumps({"loaded": loaded, "counter_is_dataclass": dataclasses.is_dataclass(OpCounter),
+print(json.dumps({"loaded": loaded, "levinson": levinson, "bordering": bordering,
+                  "counter_is_dataclass": dataclasses.is_dataclass(OpCounter),
                   "wrapper": CountingSemiring.__name__}))
 """
 
 
-def test_cli_import_leaves_dataclasses_and_the_counter_unloaded():
-    # a fresh interpreter, so this process's imports do not count; the probe
-    # lists the modules that importing the cli added
+def _probe(source, *argv):
+    """Run ``source`` in a fresh interpreter, so this process's imports do not
+    count, and decode the JSON it prints."""
     src = os.path.dirname(os.path.dirname(sp.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env,
+    proc = subprocess.run([sys.executable, "-c", source, *argv], env=env,
                           capture_output=True, text=True, check=True, timeout=60)
-    probe = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_cli_import_leaves_dataclasses_and_the_counter_unloaded(tmp_path):
+    # the probe lists the modules that importing the cli added, then those a
+    # Toeplitz solve and a bordering solve of one file leave loaded
+    path = write(tmp_path, {"semiring": "max-plus", "r0": -1, "r": [-2, -3], "b": [0, -1, -2]})
+    probe = _probe(IMPORT_PROBE, path)
     assert not {"dataclasses", "inspect", "ast", "dis", "semipath.counting"} & set(probe["loaded"])
+    levinson, bordering = probe["levinson"], probe["bordering"]
+    # the quadratic path needs neither the dense nor the cubic module
+    assert levinson["modules"] == ["semipath", "semipath.cli", "semipath.errors",
+                                   "semipath.semirings", "semipath.toeplitz"]
+    assert {"semipath.bordering", "semipath.matrices"} <= set(bordering["modules"])
+    assert levinson["code"] == bordering["code"] == 0
+    assert levinson["report"]["residual_ok"] is bordering["report"]["residual_ok"] is True
+    assert levinson["report"]["solution"] == bordering["report"]["solution"] == [0, -1, -2]
     assert probe["counter_is_dataclass"] is True  # benchmarks/layers.py calls asdict on it
     assert probe["wrapper"] == "CountingSemiring"
+
+
+#: the public names, under the module that defines each
+PUBLIC_NAMES = {
+    "semipath.semirings": [
+        "Semiring", "NonNegReal", "MaxPlus", "MaxPlusComplete", "MaxMin", "Boolean",
+        "REGISTRY", "get_semiring", "axiom_suite", "NEG_INF", "POS_INF",
+    ],
+    "semipath.counting": ["CountingSemiring", "OpCounter"],
+    "semipath.matrices": ["Matrix"],
+    "semipath.bordering": [
+        "bordering_closure", "bordering_solve", "series_closure", "enumerate_solutions",
+    ],
+    "semipath.toeplitz": [
+        "SymToeplitz", "durbin", "durbin_steps", "levinson", "levinson_steps",
+        "residual_check", "SolveState",
+        "VARIANTS", "VARIANT_RECOMPUTE", "VARIANT_RECURSIVE", "VARIANT_FALLBACK",
+    ],
+    "semipath.errors": [
+        "SemipathError", "ShapeMismatch", "InstanceMismatch", "UnsupportedInstance",
+        "SolverUndefined", "ClosureUndefined", "OutsideCarrier", "NotStabilized",
+        "EnumerationTooLarge", "ParseError", "UnknownSemiring", "BadSentinel",
+        "IncompatibleRequest",
+    ],
+}
+
+PACKAGE_PROBE = """
+import json, sys
+import semipath
+listed = dir(semipath)
+untouched = sorted(m for m in sys.modules if m.startswith("semipath."))
+from semipath import cli
+print(json.dumps({"dir": listed, "all": semipath.__all__, "untouched": untouched,
+                  "cli": cli.__name__}))
+"""
+
+
+def test_each_public_name_resolves_to_its_defining_module():
+    homes = {name: module for module, names in PUBLIC_NAMES.items() for name in names}
+    assert len(homes) == 42
+    assert len(sp.__all__) == len(set(sp.__all__)) == 42
+    assert set(sp.__all__) == set(homes)
+    for name, module in homes.items():
+        value = getattr(sp, name)
+        assert value is getattr(importlib.import_module(module), name), name
+        if callable(value):
+            assert value.__module__ == module, name
+
+    star = {}
+    exec("from semipath import *", star)
+    assert set(homes) <= set(star)
+
+    with pytest.raises(AttributeError, match="no_such_name"):
+        sp.no_such_name
+
+    # a fresh interpreter: dir() lists every name before any is loaded, and
+    # ``from semipath import cli`` falls back to the submodule
+    probe = _probe(PACKAGE_PROBE)
+    assert probe["untouched"] == []
+    assert set(probe["all"]) <= set(probe["dir"])
+    assert probe["cli"] == "semipath.cli"
