@@ -6,9 +6,10 @@ Two routes:
   leading 1x1 corner, extending the closed submatrix by one row and column
   per step.  The running closure is kept and updated in place of being
   recomputed, which makes the total cost cubic in n.
-  The solution grows one entry per step through the instance's
-  ``border_step`` kernel; the Toeplitz solvers take the same step with the
-  reversed self-generated solution in place of the closure column.
+  The solution grows one entry per step through ``Semiring.border_step``
+  over the instance's ``fold`` and ``axpy`` kernels; the Toeplitz solvers
+  take the same step with the reversed self-generated solution in place of
+  the closure column.
 * ``series_closure`` accumulates the partial sums I + A + A^2 + ... until
   they stop changing (on a complete idempotent instance, until n terms
   have been summed and the cycles are closed).  It is the brute-force

@@ -119,6 +119,10 @@ def parse_instance(path):
         raise ParseError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:
+        # bytes that are not UTF-8, an integer literal past the int-conversion
+        # digit limit, or arrays nested past the recursion limit
+        raise ParseError(f"{path}: {exc}") from None
 
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be a JSON object")

@@ -14,6 +14,12 @@ a multiplicative inverse.
 Values are plain Python objects (ints, floats, ``float('inf')`` sentinels,
 or anything the operations accept); the instance object carries the
 operations, not the values.
+
+Sums of products go through kernels written once on ``Semiring`` through
+``add`` and ``mul``: ``dot``, and the bordering step ``border_step`` over
+``fold`` and ``axpy``.  Each registered instance overrides ``fold`` and
+``axpy`` with single-pass builtin forms that return the same objects as
+the generic code; ``dot``, which the dense code calls, stays generic.
 """
 
 import math
@@ -107,6 +113,18 @@ class Semiring:
             acc = add(acc, mul(xs[i], ys[i]))
         return acc
 
+    def fold(self, xs, ys):
+        """``dot(xs, ys)``, the sum ``border_step`` stars; instance overrides
+        return the same object."""
+        return self.dot(xs, ys)
+
+    def axpy(self, z, p, a):
+        """A new list of add(z[j], mul(p[j], a)) over j, with len(z) ``mul``
+        and len(z) ``add`` calls through ``self``; instance overrides return
+        the same objects."""
+        add, mul = self.add, self.mul
+        return [add(zj, mul(pj, a)) for zj, pj in zip(z, p)]
+
     def border_step(self, z, h, p, rhs_k, star):
         """Extend z, which solves a leading k-by-k system (k = len(z)), by one
         entry for a right-hand side whose next entry is rhs_k.
@@ -117,14 +135,12 @@ class Semiring:
         z, where h is not read), and each z[j] gains p[j] times it.  Returns
         the extended list, the new entry and s, the sum that was starred: the
         Toeplitz recursion updates its pivot by s times the new entry.
-        Exactly 2k + 1 ``mul`` and 2k ``add`` calls go through ``self``;
-        instance overrides return the same objects.
+        Exactly 2k + 1 ``mul`` and 2k ``add`` calls go through ``self``.
         """
-        add, mul = self.add, self.mul
         if z:
-            rhs_k = add(self.dot(h, z), rhs_k)
-        new = mul(star, rhs_k)
-        extended = [add(zj, mul(pj, new)) for zj, pj in zip(z, p)]
+            rhs_k = self.add(self.fold(h, z), rhs_k)
+        new = self.mul(star, rhs_k)
+        extended = self.axpy(z, p, new)
         extended.append(new)
         return extended, new, rhs_k
 
@@ -225,16 +241,14 @@ class NonNegReal(Semiring):
     def mul(self, a, b):
         return a * b
 
-    def border_step(self, z, h, p, rhs_k, star):
+    def fold(self, xs, ys):
         # reduce is the generic left fold; sum() starts at 0 (0 + -0.0 is
         # 0.0) and is compensated for floats from Python 3.12 on
-        if z:
-            _check_dot(h, z)
-            rhs_k = reduce(operator.add, map(operator.mul, h, z)) + rhs_k
-        new = star * rhs_k
-        extended = [zj + pj * new for zj, pj in zip(z, p)]
-        extended.append(new)
-        return extended, new, rhs_k
+        _check_dot(xs, ys)
+        return reduce(operator.add, map(operator.mul, xs, ys))
+
+    def axpy(self, z, p, a):
+        return [zj + pj * a for zj, pj in zip(z, p)]
 
     def closure(self, a):
         if not a < self.one:  # NaN included
@@ -272,17 +286,14 @@ class MaxPlus(Semiring):
     def mul(self, a, b):
         return a + b
 
-    def border_step(self, z, h, p, rhs_k, star):
+    def fold(self, xs, ys):
         # max keeps the first of equal items, as add keeps its left operand;
         # the two differ only on NaN, which is outside the carrier
-        if z:
-            _check_dot(h, z)
-            acc = max(map(operator.add, h, z))
-            rhs_k = acc if acc >= rhs_k else rhs_k
-        new = star + rhs_k
-        extended = [zj if zj >= (t := pj + new) else t for zj, pj in zip(z, p)]
-        extended.append(new)
-        return extended, new, rhs_k
+        _check_dot(xs, ys)
+        return max(map(operator.add, xs, ys))
+
+    def axpy(self, z, p, a):
+        return [zj if zj >= (t := pj + a) else t for zj, pj in zip(z, p)]
 
     def closure(self, a):
         return self.one if a <= self.one else None
@@ -312,27 +323,20 @@ class MaxPlusComplete(MaxPlus):
     complete = True
     has_inverses = False
 
-    def border_step(self, z, h, p, rhs_k, star):
+    def fold(self, xs, ys):
         # IEEE -inf + inf is NaN where mul gives -inf.  max skips a NaN after
         # the first item, as add skips -inf; only a NaN in first place
         # survives, and the generic dot handles that case.
-        if z:
-            _check_dot(h, z)
-            acc = max(map(operator.add, h, z))
-            if acc != acc:
-                acc = Semiring.dot(self, h, z)
-            rhs_k = acc if acc >= rhs_k else rhs_k
-        new = self.mul(star, rhs_k)
-        if new == POS_INF:
+        acc = MaxPlus.fold(self, xs, ys)
+        return acc if acc == acc else self.dot(xs, ys)
+
+    def axpy(self, z, p, a):
+        if a == POS_INF:
             # mul(p[j], +inf) is -inf where p[j] is -inf and +inf elsewhere
-            extended = [zj if pj == NEG_INF or zj == POS_INF else new
-                        for zj, pj in zip(z, p)]
-        elif new == NEG_INF:
-            extended = list(z)
-        else:
-            extended = [zj if zj >= (t := pj + new) else t for zj, pj in zip(z, p)]
-        extended.append(new)
-        return extended, new, rhs_k
+            return [zj if pj == NEG_INF or zj == POS_INF else a for zj, pj in zip(z, p)]
+        if a == NEG_INF:
+            return list(z)
+        return MaxPlus.axpy(self, z, p, a)
 
     def mul(self, a, b):
         if a == NEG_INF or b == NEG_INF:
@@ -363,34 +367,23 @@ class MaxMin(Semiring):
     zero = NEG_INF
     one = POS_INF
 
-    def add(self, a, b):
-        return a if a >= b else b
+    add = MaxPlus.add
+    sample = MaxPlus.sample
+    contains = MaxPlusComplete.contains
+    sentinels = MaxPlusComplete.sentinels
 
     def mul(self, a, b):
         return a if a <= b else b
 
-    def border_step(self, z, h, p, rhs_k, star):
-        if z:
-            _check_dot(h, z)
-            acc = max([hi if hi <= zi else zi for hi, zi in zip(h, z)])
-            rhs_k = acc if acc >= rhs_k else rhs_k
-        new = star if star <= rhs_k else rhs_k
-        extended = [zj if zj >= (t := pj if pj <= new else new) else t
-                    for zj, pj in zip(z, p)]
-        extended.append(new)
-        return extended, new, rhs_k
+    def fold(self, xs, ys):
+        _check_dot(xs, ys)
+        return max([x if x <= y else y for x, y in zip(xs, ys)])
+
+    def axpy(self, z, p, a):
+        return [zj if zj >= (t := pj if pj <= a else a) else t for zj, pj in zip(z, p)]
 
     def closure(self, a):
         return self.one
-
-    def contains(self, v):
-        return v == NEG_INF or v == POS_INF or _is_number(v)
-
-    def sentinels(self):
-        return (NEG_INF, POS_INF)
-
-    def sample(self, rng):
-        return rng.randint(-10, 10)
 
 
 class Boolean(Semiring):
@@ -413,15 +406,13 @@ class Boolean(Semiring):
     def mul(self, a, b):
         return 1 if a and b else 0
 
-    def border_step(self, z, h, p, rhs_k, star):
+    def fold(self, xs, ys):
         # on {0, 1} min(a, b) is truthy exactly when a and b both are
-        if z:
-            _check_dot(h, z)
-            rhs_k = 1 if any(map(min, h, z)) or rhs_k else 0
-        new = 1 if star and rhs_k else 0
-        extended = [1 if zj or (pj and new) else 0 for zj, pj in zip(z, p)]
-        extended.append(new)
-        return extended, new, rhs_k
+        _check_dot(xs, ys)
+        return 1 if any(map(min, xs, ys)) else 0
+
+    def axpy(self, z, p, a):
+        return [1 if zj or (pj and a) else 0 for zj, pj in zip(z, p)]
 
     def closure(self, a):
         return 1

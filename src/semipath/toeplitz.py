@@ -6,8 +6,8 @@ tail r[0:n-1] (n = len(r)).  ``levinson`` solves x = T x + b for an
 arbitrary right-hand side.  Both run one recursion, the private ``_steps``
 generator: at each size k it updates the pivot beta, stars it, and extends
 y (the self-generated solution) and, when b is given, x by one entry.  Both
-extensions are the instance's ``border_step`` kernel, the step
-``bordering_solve`` takes: by persymmetry the leading closure times the new
+extensions are ``Semiring.border_step`` over the instance's ``fold`` and
+``axpy`` kernels, the step ``bordering_solve`` takes: by persymmetry the leading closure times the new
 column is the reversed y, so the closure is never carried and the total
 operation count is quadratic in n rather than the cubic cost of the general
 bordering route.

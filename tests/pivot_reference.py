@@ -2,9 +2,10 @@
 
 The solvers update the pivot in constant time, beta_{k+1} = beta_k (+)
 s_k alpha_k.  ``dot_pivot_steps`` forms it from its definition at every
-step, beta_k = r0 (+) r[:k] . y[:k], and extends y and x through the generic
-``Semiring.border_step``, so neither the update nor an instance kernel
-is under test when the solvers are compared with it.  Its errors come from
+step, beta_k = r0 (+) r[:k] . y[:k], and extends y and x through the
+``border_step`` of a ``CountingSemiring``, which runs the generic ``fold``
+and ``axpy``, so neither the update nor an instance kernel is under test
+when the solvers are compared with it.  Its errors come from
 the solvers' own ``_star`` and ``_check_carrier``, at the same sizes.
 
 ``beta_update`` is the paper's closed form of the update, which needs the
@@ -12,7 +13,7 @@ inverse of beta*.  The semiring contract has no inverse, so ``mul_inverse``
 supplies one per registered instance.
 """
 
-from semipath import NEG_INF, POS_INF, Semiring, SolveState
+from semipath import NEG_INF, POS_INF, CountingSemiring, SolveState
 from semipath.bordering import _check_carrier, _star
 
 
@@ -48,16 +49,17 @@ def dot_pivot_steps(sr, r0, r, b=None):
     beta, alpha, mu = r0, None, None
     y, x = [], None if b is None else []
     h = p = ()
+    generic = CountingSemiring(sr)
     for k in range(n):
         if k:
             beta = sr.add(r0, sr.dot(r[:k], y))
             h, p = r[k - 1::-1], y[::-1]
         bstar = _star(sr, beta, k + 1)
         if b is not None:
-            x, mu, _ = Semiring.border_step(sr, x, h, p, b[k], bstar)
+            x, mu, _ = generic.border_step(x, h, p, b[k], bstar)
             _check_carrier(sr, (mu,), k + 1)
         if k < len(r):
-            y, alpha, _ = Semiring.border_step(sr, y, h, p, r[k], bstar)
+            y, alpha, _ = generic.border_step(y, h, p, r[k], bstar)
             _check_carrier(sr, (alpha,), k + 1)
         if k == n - 1:
             _check_carrier(sr, y if b is None else x, n)

@@ -100,6 +100,31 @@ def test_missing_file_is_parse_error():
         parse_instance("/nonexistent/instance.json")
 
 
+# files that json cannot decode without a syntax error to report
+UNDECODABLE = [
+    pytest.param(b'\xff{"semiring": "max-plus", "r0": -1, "r": [-2]}', id="not-utf-8"),
+    # past the int-conversion limit of 4,300 digits (Python 3.11)
+    pytest.param(b'{"semiring": "max-plus", "r0": ' + b"9" * 5000 + b', "r": [-2]}',
+                 id="5000-digit-int"),
+    pytest.param(b"[" * 100000 + b"]" * 100000, id="nested-past-the-recursion-limit"),
+]
+
+
+@pytest.mark.parametrize("data", UNDECODABLE)
+def test_undecodable_file_is_a_parse_error_exit_2(tmp_path, capsys, data):
+    path = tmp_path / "inst.json"
+    path.write_bytes(data)
+    with pytest.raises(sp.ParseError) as exc:
+        parse_instance(str(path))
+    assert str(exc.value).startswith(f"{path}: ")
+    code = main(["solve", "--semiring", "max-plus", "--algorithm", "durbin",
+                 "--input", str(path)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "ParseError"
+
+
 # a 400-digit integer: valid JSON, but no float holds it
 HUGE = "9" * 400
 

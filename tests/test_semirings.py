@@ -234,7 +234,7 @@ def test_contains(sr, value, expected):
     assert sr.contains(value) is expected
 
 
-# -- border_step kernel -----------------------------------------------------------
+# -- border_step and its kernels ------------------------------------------------------
 
 # carrier values per instance: every sentinel, -0.0, an int beside an equal
 # float (ties show which operand a kernel keeps) and, for nonneg-real, sums
@@ -252,6 +252,17 @@ def typed(values):
     return [(type(v), repr(v)) for v in values]
 
 
+def assert_kernels_match_the_generic_ones(sr, z, h, p, rhs_k, star):
+    """sr's step, fold and axpy return the objects of the generic code run on
+    sr's add and mul: CountingSemiring keeps the generic fold and axpy."""
+    got, new, s = sr.border_step(list(z), h, p, rhs_k, star)
+    want, want_new, want_s = sp.CountingSemiring(sr).border_step(list(z), h, p, rhs_k, star)
+    assert typed(got + [new, s]) == typed(want + [want_new, want_s]), (z, h, p, rhs_k, star)
+    if z:
+        assert typed([sr.fold(h, z)]) == typed([sp.Semiring.dot(sr, h, z)]), (h, z)
+    assert typed(sr.axpy(z, p, rhs_k)) == typed(sp.Semiring.axpy(sr, z, p, rhs_k)), (z, p, rhs_k)
+
+
 @pytest.mark.parametrize("sr", ALL, ids=lambda s: s.name)
 def test_border_step_matches_the_generic_step(sr):
     pool = KERNEL_VALUES[sr.name]
@@ -261,9 +272,7 @@ def test_border_step_matches_the_generic_step(sr):
         k = rng.randint(0, 9)
         z, h, p = ([rng.choice(pool) for _ in range(k)] for _ in range(3))
         rhs_k, star = rng.choice(pool), rng.choice(pool)
-        got, new, s = sr.border_step(list(z), h, p, rhs_k, star)
-        want, want_new, want_s = sp.Semiring.border_step(sr, list(z), h, p, rhs_k, star)
-        assert typed(got + [new, s]) == typed(want + [want_new, want_s]), (z, h, p, rhs_k, star)
+        assert_kernels_match_the_generic_ones(sr, z, h, p, rhs_k, star)
 
 
 @pytest.mark.parametrize("sr", ALL, ids=lambda s: s.name)
@@ -273,18 +282,31 @@ def test_border_step_length_mismatch_matches_the_generic_step(sr):
         with pytest.raises(sp.ShapeMismatch) as got:
             sr.border_step(list(z), h, z, sr.one, sr.one)
         with pytest.raises(sp.ShapeMismatch) as want:
-            sp.Semiring.border_step(sr, list(z), h, z, sr.one, sr.one)
+            sp.CountingSemiring(sr).border_step(list(z), h, z, sr.one, sr.one)
+        assert str(got.value) == str(want.value)
+        with pytest.raises(sp.ShapeMismatch) as got:
+            sr.fold(h, z)
+        with pytest.raises(sp.ShapeMismatch) as want:
+            sp.Semiring.dot(sr, h, z)
         assert str(got.value) == str(want.value)
     # an empty z needs no dot product, so h is not read
     assert sr.border_step([], [sr.one], (), sr.one, sr.one) == ([sr.one], sr.one, sr.one)
 
 
 def test_generic_kernels_where_counts_or_semantics_need_them():
-    assert all(type(sr).dot is sp.Semiring.dot for sr in ALL)
-    assert sp.CountingSemiring.border_step is sp.Semiring.border_step
-    assert all(type(sr).border_step is not sp.Semiring.border_step for sr in ALL)
-    # IEEE -inf + inf is NaN, so max-plus-complete cannot use MaxPlus's kernel
-    assert type(MPC).border_step is not sp.MaxPlus.border_step
+    # one border_step, on Semiring; every instance brings fold and axpy, and
+    # dot stays generic for the dense code
+    for sr in ALL:
+        assert type(sr).border_step is sp.Semiring.border_step
+        assert type(sr).dot is sp.Semiring.dot
+        assert type(sr).fold is not sp.Semiring.fold
+        assert type(sr).axpy is not sp.Semiring.axpy
+    # the counting wrapper runs the generic kernels, so it sees every call
+    for name in ("fold", "axpy", "border_step", "dot"):
+        assert getattr(sp.CountingSemiring, name) is getattr(sp.Semiring, name)
+    # IEEE -inf + inf is NaN, so max-plus-complete cannot use MaxPlus's kernels
+    assert type(MPC).fold is not sp.MaxPlus.fold
+    assert type(MPC).axpy is not sp.MaxPlus.axpy
     assert MPC.border_step([NEG_INF], [POS_INF], [POS_INF], NEG_INF, 0) == (
         [NEG_INF, NEG_INF], NEG_INF, NEG_INF)
 
@@ -299,9 +321,7 @@ def test_max_plus_complete_border_step_matches_the_generic_step_with_overflow():
         z, h, p = ([rng.choice(pool) for _ in range(k)] for _ in range(3))
         rhs_k = rng.choice(pool)
         star = rng.choice([0, POS_INF, rng.choice(pool)])
-        got, new, s = MPC.border_step(list(z), h, p, rhs_k, star)
-        want, want_new, want_s = sp.Semiring.border_step(MPC, list(z), h, p, rhs_k, star)
-        assert typed(got + [new, s]) == typed(want + [want_new, want_s]), (z, h, p, rhs_k, star)
+        assert_kernels_match_the_generic_ones(MPC, z, h, p, rhs_k, star)
 
 
 # -- counting wrapper -------------------------------------------------------------
