@@ -4,6 +4,8 @@ Storage is a flat row-major list; matrices are treated as immutable values
 and every operation returns a fresh matrix.  Column vectors are n-by-1
 matrices, there is no separate vector type.  The compact symmetric Toeplitz
 form is ``toeplitz.SymToeplitz``; it builds a Matrix only in ``expand``.
+The dense type holds only what the bordering, series and expansion paths
+and the benchmark call.
 """
 
 from .errors import InstanceMismatch, ShapeMismatch
@@ -27,29 +29,11 @@ class Matrix:
         self.data = data
         self.semiring = semiring
 
-    # -- constructors ---------------------------------------------------
-
-    @classmethod
-    def zeros(cls, rows, cols, semiring):
-        return cls(rows, cols, [semiring.zero] * (rows * cols), semiring)
-
     @classmethod
     def identity(cls, n, semiring):
         data = [semiring.zero] * (n * n)
         for i in range(n):
             data[i * n + i] = semiring.one
-        return cls(n, n, data, semiring)
-
-    @classmethod
-    def exchange(cls, n, semiring):
-        """The anti-identity: ones on the anti-diagonal, zero elsewhere.
-
-        Left-multiplying a column by it reverses the column; it squares to
-        the identity.
-        """
-        data = [semiring.zero] * (n * n)
-        for i in range(n):
-            data[i * n + (n - 1 - i)] = semiring.one
         return cls(n, n, data, semiring)
 
     @classmethod
@@ -69,17 +53,13 @@ class Matrix:
     def column(cls, values, semiring):
         return cls(len(values), 1, list(values), semiring)
 
-    # -- access ----------------------------------------------------------
-
     def __getitem__(self, ij):
         i, j = ij
         return self.data[i * self.cols + j]
 
-    def row_values(self, i):
-        return self.data[i * self.cols:(i + 1) * self.cols]
-
     def to_rows(self):
-        return [self.row_values(i) for i in range(self.rows)]
+        d, c = self.data, self.cols
+        return [d[i * c:(i + 1) * c] for i in range(self.rows)]
 
     def to_flat(self):
         return list(self.data)
@@ -94,8 +74,6 @@ class Matrix:
                 f"operands belong to different instances "
                 f"({self.semiring!r} vs {other.semiring!r})"
             )
-
-    # -- arithmetic -------------------------------------------------------
 
     def add(self, other):
         """Entrywise semiring addition."""
@@ -125,22 +103,10 @@ class Matrix:
         out = [sr.dot(row, col) for row in self.to_rows() for col in columns]
         return Matrix(self.rows, m, out, sr)
 
-    def __add__(self, other):
-        return self.add(other)
-
-    def __matmul__(self, other):
-        return self.mul(other)
-
-    def transpose(self):
-        n, m = self.rows, self.cols
-        d = self.data
-        return Matrix(m, n, [d[i * m + j] for j in range(m) for i in range(n)], self.semiring)
-
-    # -- comparisons -------------------------------------------------------
-
     def equals(self, other):
         """Entrywise equality under the instance's eq (tolerance-aware for
-        floating-point carriers).  Shapes must match."""
+        floating-point carriers); InstanceMismatch first, False on shapes."""
+        self._check_same_instance(other)
         if self.rows != other.rows or self.cols != other.cols:
             return False
         eq = self.semiring.eq
@@ -148,28 +114,12 @@ class Matrix:
         return all(eq(a[i], b[i]) for i in range(len(a)))
 
     def leq(self, other):
-        """Elementwise canonical order: ShapeMismatch first, then, as
-        ``Semiring.leq``, UnsupportedInstance on a non-idempotent instance."""
+        """Elementwise canonical order: InstanceMismatch, ShapeMismatch, then,
+        as ``Semiring.leq``, UnsupportedInstance on a non-idempotent instance."""
+        self._check_same_instance(other)
         if self.rows != other.rows or self.cols != other.cols:
             raise ShapeMismatch("order comparison needs equal shapes")
         return all(map(self.semiring.leq, self.data, other.data))
-
-    def is_symmetric(self):
-        if not self.is_square:
-            raise ShapeMismatch("symmetry is defined for square matrices")
-        return self.equals(self.transpose())
-
-    def is_persymmetric(self):
-        """Symmetry about the anti-diagonal: A equals E A^T E entrywise."""
-        if not self.is_square:
-            raise ShapeMismatch("persymmetry is defined for square matrices")
-        n = self.rows
-        eq = self.semiring.eq
-        d = self.data
-        return all(
-            eq(d[i * n + j], d[(n - 1 - j) * n + (n - 1 - i)])
-            for i in range(n) for j in range(n)
-        )
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols}, {self.semiring.name}, {self.to_rows()!r})"
