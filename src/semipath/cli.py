@@ -190,9 +190,10 @@ def _solve(sr, inst, algorithm):
 def run_solve(inst, algorithm, variant=VARIANT_RECOMPUTE, check=False, count=False):
     """Dispatch one solve and assemble the report dict.
 
-    ``elapsed`` times a solve on the plain instance.  With ``count``, the
-    operation counts come from a second, untimed solve through a
-    CountingSemiring, whose wrapper calls would otherwise inflate the time.
+    ``elapsed`` times a solve on the plain instance, with the modules it
+    needs already loaded.  With ``count``, the operation counts come from a
+    second, untimed solve through a CountingSemiring, whose wrapper calls
+    would otherwise inflate the time.
     The residual check (when requested) runs on the unwrapped instance so
     operation counts reflect the solve alone.
 
@@ -209,6 +210,10 @@ def run_solve(inst, algorithm, variant=VARIANT_RECOMPUTE, check=False, count=Fal
     _check_variant(variant)
 
     base = get_semiring(inst.semiring)
+    if algorithm in ("bordering", "series"):
+        # _solve imports these lazily; load them here so ``elapsed`` times
+        # the solve and not the module loading
+        from . import bordering, matrices  # noqa: F401
     started = time.perf_counter()
     solution = _solve(base, inst, algorithm)
     elapsed_ms = (time.perf_counter() - started) * 1000.0

@@ -19,7 +19,9 @@ Sums of products go through kernels written once on ``Semiring`` through
 ``add`` and ``mul``: ``dot``, and the bordering step ``border_step`` over
 ``fold`` and ``axpy``.  Each registered instance overrides ``fold`` and
 ``axpy`` with single-pass builtin forms that return the same objects as
-the generic code; ``dot``, which the dense code calls, stays generic.
+the generic code.  ``fold`` is the sum that ``border_step`` stars and the
+sum of each row of ``SymToeplitz.matvec``; ``dot`` stays generic for the
+dense code (``Matrix.mul`` and ``series_closure``).
 """
 
 import math
@@ -114,8 +116,9 @@ class Semiring:
         return acc
 
     def fold(self, xs, ys):
-        """``dot(xs, ys)``, the sum ``border_step`` stars; instance overrides
-        return the same object."""
+        """``dot(xs, ys)``: the sum ``border_step`` stars and each row sum of
+        ``SymToeplitz.matvec``.  Instance overrides return the same object;
+        ``dot`` itself stays generic for the dense code."""
         return self.dot(xs, ys)
 
     def axpy(self, z, p, a):

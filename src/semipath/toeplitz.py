@@ -22,7 +22,9 @@ because alpha = beta* s; ``tests/pivot_reference.py`` keeps that form as a
 test reference.
 
 ``SymToeplitz`` is the compact matrix (r0 and the first-row tail) that
-``residual_check`` multiplies without expanding.  The module needs only the
+``residual_check`` multiplies without expanding: ``matvec`` builds the lag
+list once and sums each row, a window of it, through the instance's
+``fold``, the kernel ``border_step`` runs.  The module needs only the
 scalar operations and ``semirings._star``: it loads the dense ``matrices``
 module only when ``SymToeplitz.expand`` builds a Matrix, and never the cubic
 ``bordering`` module.
@@ -76,8 +78,11 @@ class SymToeplitz:
         if len(xs) != n:
             raise ShapeMismatch(f"vector has length {len(xs)}, matrix is {n}x{n}")
         lag = (self.r0,) + self.tail
-        # row i holds lags i, i-1, ..., 1, 0, 1, ..., n-1-i
-        return [self.semiring.dot(lag[i:0:-1] + lag[:n - i], xs) for i in range(n)]
+        # ext holds lags n-1, ..., 1, 0, 1, ..., n-1; row i (lags i, ..., 0,
+        # ..., n-1-i) is the window of n entries starting at lag i
+        ext = lag[:0:-1] + lag
+        fold = self.semiring.fold
+        return [fold(ext[n - 1 - i:2 * n - 1 - i], xs) for i in range(n)]
 
 
 class SolveState(namedtuple("SolveState", "k y alpha beta x mu", defaults=(None, None))):

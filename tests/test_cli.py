@@ -658,6 +658,40 @@ def test_cli_import_leaves_dataclasses_and_the_counter_unloaded(tmp_path):
     assert probe["wrapper"] == "CountingSemiring"
 
 
+TIMER_PROBE = """
+import json, sys, time
+import semipath.cli
+
+clock, loaded_at_start = time.perf_counter, []
+
+
+def probed_clock():
+    loaded_at_start.append(
+        sorted(m for m in ("semipath.bordering", "semipath.matrices") if m in sys.modules))
+    return clock()
+
+
+inst = semipath.cli.parse_instance(sys.argv[1])
+time.perf_counter = probed_clock
+report = semipath.cli.run_solve(inst, sys.argv[2])
+print(json.dumps({"loaded": loaded_at_start[0], "solution": report["solution"]}))
+"""
+
+
+@pytest.mark.parametrize("algorithm,loaded", [
+    ("levinson", []),
+    ("bordering", ["semipath.bordering", "semipath.matrices"]),
+    ("series", ["semipath.bordering", "semipath.matrices"]),
+])
+def test_elapsed_starts_after_the_solver_modules_load(tmp_path, algorithm, loaded):
+    # ``elapsed`` must not time an import: the dense and cubic modules are
+    # loaded when the clock starts, and only for the routes that use them
+    path = write(tmp_path, {"semiring": "max-plus", "r0": -1, "r": [-2], "b": [0, -1]})
+    probe = _probe(TIMER_PROBE, path, algorithm)
+    assert probe["loaded"] == loaded
+    assert probe["solution"] == [0, -1]
+
+
 #: the public names, under the module that defines each
 PUBLIC_NAMES = {
     "semipath.semirings": [

@@ -1,14 +1,16 @@
 """Dense matrix algebra over semirings and the compact Toeplitz form."""
 
+import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import semipath as sp
-from semipath import Matrix, NEG_INF, SymToeplitz
+from semipath import Matrix, NEG_INF, POS_INF, SymToeplitz
 
 from dense_reference import exchange, is_persymmetric, transpose, zeros
+from test_semirings import KERNEL_VALUES, typed
 
 MP = sp.get_semiring("max-plus")
 BOOL = sp.get_semiring("boolean")
@@ -193,6 +195,35 @@ def test_matvec_matches_expanded_product():
     xs = [rng.randint(-9, 0) for _ in range(5)]
     expected = T.expand().mul(Matrix.column(xs, MP)).to_flat()
     assert T.matvec(xs) == expected
+
+
+@pytest.mark.parametrize("sr", list(sp.REGISTRY.values()), ids=lambda s: s.name)
+def test_matvec_matches_the_generic_dot_and_the_expanded_product(sr):
+    # matvec sums each row through the instance's fold over a window of one
+    # lag list; CountingSemiring keeps the generic Semiring.dot, and the
+    # expanded product runs Matrix.mul, so neither shares that kernel
+    pool = KERNEL_VALUES[sr.name]
+    rng = random.Random(f"matvec:{sr.name}")
+    for n in range(1, 10):
+        for _ in range(40):
+            r0, xs = rng.choice(pool), [rng.choice(pool) for _ in range(n)]
+            tail = [rng.choice(pool) for _ in range(n - 1)]
+            T = SymToeplitz(r0, tail, sr)
+            got = T.matvec(xs)
+            generic = SymToeplitz(r0, tail, sp.CountingSemiring(sr)).matvec(xs)
+            assert typed(got) == typed(generic), (r0, tail, xs)
+            dense = T.expand().mul(Matrix.column(xs, sr)).to_flat()
+            assert typed(got) == typed(dense), (r0, tail, xs)
+
+
+def test_max_plus_complete_matvec_takes_the_fold_fallback():
+    # row 0 opens with -inf + inf, which is NaN under IEEE and -inf under mul;
+    # MaxPlus's fold keeps that NaN, so MaxPlusComplete's falls back to dot
+    MPC = sp.get_semiring("max-plus-complete")
+    assert math.isnan(sp.MaxPlus.fold(MPC, [NEG_INF, -1], [POS_INF, POS_INF]))
+    T = SymToeplitz(NEG_INF, [-1], MPC)
+    assert T.matvec([POS_INF, POS_INF]) == [POS_INF, POS_INF]
+    assert T.expand().mul(Matrix.column([POS_INF, POS_INF], MPC)).to_flat() == [POS_INF, POS_INF]
 
 
 def test_matvec_rejects_bad_length():
