@@ -19,9 +19,11 @@ Sums of products go through kernels written once on ``Semiring`` through
 ``add`` and ``mul``: ``dot``, and the bordering step ``border_step`` over
 ``fold`` and ``axpy``.  Each registered instance overrides ``fold`` and
 ``axpy`` with single-pass builtin forms that return the same objects as
-the generic code.  ``fold`` is the sum that ``border_step`` stars and the
-sum of each row of ``SymToeplitz.matvec``; ``dot`` stays generic for the
-dense code (``Matrix.mul`` and ``series_closure``).
+the generic code.  ``fold`` sums the solvers' terms: the sum that
+``border_step`` stars, each row of ``SymToeplitz.matvec``, and the
+bordering closure's ``p = C g``, ``q = h^T C`` and pivot sum.  ``dot``
+stays the generic reference for ``Matrix.mul``, that is, the dense checks
+and ``series_closure``.
 """
 
 import math
@@ -116,9 +118,10 @@ class Semiring:
         return acc
 
     def fold(self, xs, ys):
-        """``dot(xs, ys)``: the sum ``border_step`` stars and each row sum of
-        ``SymToeplitz.matvec``.  Instance overrides return the same object;
-        ``dot`` itself stays generic for the dense code."""
+        """``dot(xs, ys)``: the sum ``border_step`` stars, each row sum of
+        ``SymToeplitz.matvec``, and the bordering closure's ``p``, ``q`` and
+        pivot sums.  Instance overrides return the same object; ``dot``
+        itself stays generic for ``Matrix.mul``."""
         return self.dot(xs, ys)
 
     def axpy(self, z, p, a):

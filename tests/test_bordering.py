@@ -1,5 +1,6 @@
 """Bordering closure/solve against the power-series oracle and enumeration."""
 
+import math
 import random
 
 import pytest
@@ -9,6 +10,7 @@ import semipath as sp
 from semipath import Matrix, NEG_INF, POS_INF
 
 from dense_reference import exchange, is_persymmetric, transpose, zeros
+from test_semirings import KERNEL_VALUES, typed
 
 MP = sp.get_semiring("max-plus")
 BOOL = sp.get_semiring("boolean")
@@ -115,6 +117,52 @@ def test_closure_of_persymmetric_is_persymmetric():
         C = sp.bordering_closure(A)
         assert is_persymmetric(C)
         assert E.mul(C).equals(transpose(C).mul(E))
+
+
+def bordering_outcome(solver, *args):
+    """The typed entries of the solver's result, or the type, step and typed
+    value of the SolverUndefined it raised."""
+    try:
+        out = solver(*args)
+    except sp.SolverUndefined as exc:
+        return type(exc), exc.step, typed([exc.value])
+    return typed(out.to_flat())
+
+
+@pytest.mark.parametrize("sr", list(sp.REGISTRY.values()), ids=lambda s: s.name)
+def test_bordering_sums_match_the_generic_dot(sr):
+    # the steps take p = C g, q = h^T C and the pivot sum through the
+    # instance's fold; CountingSemiring keeps the generic Semiring.dot.
+    # Every other draw keeps to values whose star exists, so that nonneg-real
+    # and max-plus also reach the full size and not only an early error
+    pool = KERNEL_VALUES[sr.name]
+    closable = [v for v in pool if sr.closure(v) is not None]
+    counted = sp.CountingSemiring(sr)
+    rng = random.Random(f"bordering-sums:{sr.name}")
+    solved = 0
+    for n in range(1, 8):
+        for draw in range(40):
+            values = pool if draw % 2 else closable
+            data = [rng.choice(values) for _ in range(n * n)]
+            b = [rng.choice(values) for _ in range(n)]
+            A, A_counted = Matrix(n, n, data, sr), Matrix(n, n, data, counted)
+            closure = bordering_outcome(sp.bordering_closure, A)
+            assert closure == bordering_outcome(sp.bordering_closure, A_counted), (data,)
+            solution = bordering_outcome(sp.bordering_solve, A, b)
+            assert solution == bordering_outcome(sp.bordering_solve, A_counted, b), (data, b)
+            solved += n >= 5 and isinstance(solution, list)
+    assert solved >= 20, solved
+
+
+def test_max_plus_complete_bordering_takes_the_fold_fallback():
+    # p = C g and q = h^T C open with +inf + -inf, which is NaN under IEEE
+    # and -inf under mul; MaxPlus's fold keeps that NaN, so MaxPlusComplete's
+    # falls back to dot
+    MPC = sp.get_semiring("max-plus-complete")
+    assert math.isnan(sp.MaxPlus.fold(MPC, [POS_INF], [NEG_INF]))
+    A = sp.SymToeplitz(1, [NEG_INF], MPC).expand()
+    assert sp.bordering_closure(A).to_rows() == [[POS_INF, NEG_INF], [NEG_INF, POS_INF]]
+    assert sp.bordering_solve(A, [0, 0]).to_flat() == [POS_INF, POS_INF]
 
 
 # -- solve --------------------------------------------------------------------
