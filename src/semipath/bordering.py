@@ -6,7 +6,8 @@ Two routes:
   leading 1x1 corner, extending the closed submatrix by one row and column
   per step.  The running closure is kept and updated in place of being
   recomputed, which makes the total cost cubic in n.  Each step's three
-  inner products go through the instance's ``fold`` kernel.
+  inner products go through the instance's ``fold`` kernel and its
+  rank-one row update through ``axpy_left``.
   The solution grows one entry per step through ``Semiring.border_step``
   over the instance's ``fold`` and ``axpy`` kernels; the Toeplitz solvers
   take the same step with the reversed self-generated solution in place of
@@ -79,11 +80,13 @@ def _bordering_steps(sr, rows):
     Step k borders C with the column g above the new corner and the row h
     left of it: with p = C g, q = h^T C and u = (h . p + a_kk)*, the new
     closure is [[C + p u q, p u], [u q, u]].  p, q and the pivot sum h . p
-    are taken through ``sr.fold``, each with the row on the left; the
-    rank-one update C + (p u) q multiplies scalar-left through ``add`` and
-    ``mul``.  Yields (C, h, p, u) per step; the first has empty h and p.
+    are taken through ``sr.fold``, each with the row on the left.  The
+    rank-one update C + (p u) q builds row i as ``sr.axpy_left(C[i], v_i,
+    q)`` with v_i = p_i u, which multiplies scalar-left, and appends v_i to
+    the new list the kernel returns.  Yields (C, h, p, u) per step; the
+    first has empty h and p.
     """
-    sadd, smul, fold = sr.add, sr.mul, sr.fold
+    sadd, smul, fold, axpy_left = sr.add, sr.mul, sr.fold, sr.axpy_left
     C = [[_star(sr, rows[0][0], 1)]]
     yield C, (), (), C[0][0]
     for k in range(1, len(rows)):
@@ -96,7 +99,7 @@ def _bordering_steps(sr, rows):
         C_next = []
         for ci, pi in zip(C, p):
             vi = smul(pi, u)
-            row = [sadd(cij, smul(vi, qj)) for cij, qj in zip(ci, q)]
+            row = axpy_left(ci, vi, q)
             row.append(vi)
             C_next.append(row)
         C_next.append(w + [u])

@@ -7,10 +7,10 @@ arbitrary right-hand side.  Both run one recursion, the private ``_steps``
 generator: at each size k it updates the pivot beta, stars it, and extends
 y (the self-generated solution) and, when b is given, x by one entry.  Both
 extensions are ``Semiring.border_step`` over the instance's ``fold`` and
-``axpy`` kernels, the step ``bordering_solve`` takes: by persymmetry the leading closure times the new
-column is the reversed y, so the closure is never carried and the total
-operation count is quadratic in n rather than the cubic cost of the general
-bordering route.
+``axpy`` kernels, the step ``bordering_solve`` takes: by persymmetry the
+leading closure times the new column is the reversed y, so the closure is
+never carried and the total operation count is quadratic in n rather than
+the cubic cost of the general bordering route.
 
 The pivot beta_k = r0 + r[0:k] . y[0:k] is never recomputed from that dot
 product: every step updates it in constant time, beta_{k+1} = beta_k + s_k

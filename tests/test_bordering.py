@@ -165,6 +165,42 @@ def test_max_plus_complete_bordering_takes_the_fold_fallback():
     assert sp.bordering_solve(A, [0, 0]).to_flat() == [POS_INF, POS_INF]
 
 
+class RowUpdateSpy(sp.MaxPlusComplete):
+    """max-plus-complete that records the scalar of every row update."""
+
+    def __init__(self):
+        self.scalars = []
+
+    def axpy_left(self, z, a, q):
+        self.scalars.append(a)
+        return super().axpy_left(z, a, q)
+
+
+@pytest.mark.parametrize("rows,b,scalars", [
+    # r0 = 1 stars to u = +inf, and so does every later pivot
+    (sp.SymToeplitz(1, [1, -2], sp.get_semiring("max-plus-complete")).expand().to_rows(),
+     [0, -1, 2], {POS_INF}),
+    # node 1 has a positive loop and does not reach node 0, so the size-2
+    # update has v = 0 * +inf = +inf against q = [-inf] and keeps C[0][0] = 0;
+    # nothing reaches node 2, so g = [-inf, -inf] gives v = -inf at size 3
+    ([[-1, 0, NEG_INF], [NEG_INF, 1, NEG_INF], [NEG_INF, 0, -3]], [0, NEG_INF, 2],
+     {POS_INF, NEG_INF}),
+    # g = [-inf] makes p = [-inf], so v = p u is -inf under the finite u = 0
+    ([[-1, NEG_INF, 0], [0, -1, NEG_INF], [-2, 0, -3]], [0, NEG_INF, -1], {NEG_INF}),
+], ids=["toeplitz-inf-star", "inf-star-and-neg-inf-p", "neg-inf-p"])
+def test_max_plus_complete_row_update_branches_match_the_oracles(rows, b, scalars):
+    spy = RowUpdateSpy()
+    A = Matrix.from_rows(rows, spy)
+    A_counted = Matrix.from_rows(rows, sp.CountingSemiring(spy))
+    closure = bordering_outcome(sp.bordering_closure, A)
+    assert scalars <= set(spy.scalars), spy.scalars
+    star = sp.series_closure(A)
+    assert closure == bordering_outcome(sp.bordering_closure, A_counted) == typed(star.to_flat())
+    solution = bordering_outcome(sp.bordering_solve, A, b)
+    assert solution == bordering_outcome(sp.bordering_solve, A_counted, b)
+    assert solution == typed(star.mul(Matrix.column(b, spy)).to_flat())
+
+
 # -- solve --------------------------------------------------------------------
 
 def test_solve_zero_rhs_gives_zero():
