@@ -6,17 +6,18 @@ Two routes:
   leading 1x1 corner, extending the closed submatrix by one row and column
   per step.  The running closure is kept and updated in place of being
   recomputed, which makes the total cost cubic in n.  Each step's three
-  inner products go through the instance's ``fold`` kernel and its
+  inner products go through the instance's ``dot`` kernel and its
   rank-one row update through ``axpy_left``.
   The solution grows one entry per step through ``Semiring.border_step``
-  over the instance's ``fold`` and ``axpy`` kernels; the Toeplitz solvers
+  over the instance's ``dot`` and ``axpy`` kernels; the Toeplitz solvers
   take the same step with the reversed self-generated solution in place of
   the closure column.
 * ``series_closure`` accumulates the partial sums I + A + A^2 + ... until
   they stop changing (on a complete idempotent instance, until n terms
   have been summed and the cycles are closed).  It is the brute-force
-  oracle the structured solvers are verified against, and it multiplies
-  through ``Matrix.mul``, which keeps the generic ``Semiring.dot``.
+  oracle the structured solvers are verified against.  ``Matrix.mul`` sums
+  it on the instance's ``dot``, and on the generic one through a
+  ``CountingSemiring``.
 
 ``enumerate_solutions`` exhaustively searches the Boolean carrier for every
 solution of x = A x + b, which is the ground truth for least-solution
@@ -80,21 +81,21 @@ def _bordering_steps(sr, rows):
     Step k borders C with the column g above the new corner and the row h
     left of it: with p = C g, q = h^T C and u = (h . p + a_kk)*, the new
     closure is [[C + p u q, p u], [u q, u]].  p, q and the pivot sum h . p
-    are taken through ``sr.fold``, each with the row on the left.  The
+    are taken through ``sr.dot``, each with the row on the left.  The
     rank-one update C + (p u) q builds row i as ``sr.axpy_left(C[i], v_i,
     q)`` with v_i = p_i u, which multiplies scalar-left, and appends v_i to
     the new list the kernel returns.  Yields (C, h, p, u) per step; the
     first has empty h and p.
     """
-    sadd, smul, fold, axpy_left = sr.add, sr.mul, sr.fold, sr.axpy_left
+    sadd, smul, dot, axpy_left = sr.add, sr.mul, sr.dot, sr.axpy_left
     C = [[_star(sr, rows[0][0], 1)]]
     yield C, (), (), C[0][0]
     for k in range(1, len(rows)):
         g = [row[k] for row in rows[:k]]
         h = rows[k][:k]
-        p = [fold(ci, g) for ci in C]
-        q = [fold(h, cj) for cj in zip(*C)]
-        u = _star(sr, sadd(fold(h, p), rows[k][k]), k + 1)
+        p = [dot(ci, g) for ci in C]
+        q = [dot(h, cj) for cj in zip(*C)]
+        u = _star(sr, sadd(dot(h, p), rows[k][k]), k + 1)
         w = [smul(u, qj) for qj in q]
         C_next = []
         for ci, pi in zip(C, p):

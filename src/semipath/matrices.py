@@ -5,7 +5,8 @@ and every operation returns a fresh matrix.  Column vectors are n-by-1
 matrices, there is no separate vector type.  The compact symmetric Toeplitz
 form is ``toeplitz.SymToeplitz``; it builds a Matrix only in ``expand``.
 The dense type holds only what the bordering, series and expansion paths
-and the benchmark call.
+and the benchmark call.  ``mul`` sums each entry through the instance's
+``dot``, the kernel the solvers run.
 """
 
 from .errors import InstanceMismatch, ShapeMismatch

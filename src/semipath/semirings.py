@@ -16,17 +16,18 @@ or anything the operations accept); the instance object carries the
 operations, not the values.
 
 Sums of products go through kernels written once on ``Semiring`` through
-``add`` and ``mul``: ``dot``, ``axpy_left``, and the bordering step
-``border_step`` over ``fold`` and ``axpy``.  Each registered instance
-overrides ``fold``, ``axpy`` and ``axpy_left`` with single-pass builtin
-forms that return the same objects as the generic code.  ``fold`` sums the
-solvers' terms: the sum that ``border_step`` stars, each row of
-``SymToeplitz.matvec``, and the bordering closure's ``p = C g``,
-``q = h^T C`` and pivot sum.  ``axpy`` multiplies vector-left,
-``mul(p[j], a)``, for ``border_step``; ``axpy_left`` multiplies
-scalar-left, ``mul(a, q[j])``, for the bordering closure's rank-one row
-update.  ``dot`` stays the generic reference for ``Matrix.mul``, that is,
-the dense checks and ``series_closure``.
+``add`` and ``mul``: ``dot``, ``axpy``, ``axpy_left`` and the bordering
+step ``border_step`` over ``dot`` and ``axpy``.  Each registered instance
+overrides ``dot``, ``axpy`` and ``axpy_left`` with single-pass builtin
+forms that return the same objects as the generic code.  ``dot`` is the
+one summation kernel: the sum that ``border_step`` stars, each row of
+``SymToeplitz.matvec``, the bordering closure's ``p = C g``, ``q = h^T C``
+and pivot sum, and each entry of ``Matrix.mul``, that is, the dense checks
+and ``series_closure``.  ``axpy`` multiplies vector-left, ``mul(p[j], a)``,
+for ``border_step``; ``axpy_left`` multiplies scalar-left,
+``mul(a, q[j])``, for the bordering closure's rank-one row update.
+``CountingSemiring`` keeps the generic kernels, so it sees every operation
+and stays a reference the instance kernels are tested against.
 """
 
 import math
@@ -112,6 +113,7 @@ class Semiring:
         xs and ys are sequences of one length k >= 1, else ShapeMismatch.
         Exactly k ``mul`` and k - 1 ``add`` calls go through ``self``, so a
         wrapper that overrides them, such as CountingSemiring, sees each one.
+        Instance overrides return the same object.
         """
         _check_dot(xs, ys)
         add, mul = self.add, self.mul
@@ -119,13 +121,6 @@ class Semiring:
         for i in range(1, len(xs)):
             acc = add(acc, mul(xs[i], ys[i]))
         return acc
-
-    def fold(self, xs, ys):
-        """``dot(xs, ys)``: the sum ``border_step`` stars, each row sum of
-        ``SymToeplitz.matvec``, and the bordering closure's ``p``, ``q`` and
-        pivot sums.  Instance overrides return the same object; ``dot``
-        itself stays generic for ``Matrix.mul``."""
-        return self.dot(xs, ys)
 
     def axpy(self, z, p, a):
         """A new list of add(z[j], mul(p[j], a)) over j, with len(z) ``mul``
@@ -156,7 +151,7 @@ class Semiring:
         Exactly 2k + 1 ``mul`` and 2k ``add`` calls go through ``self``.
         """
         if z:
-            rhs_k = self.add(self.fold(h, z), rhs_k)
+            rhs_k = self.add(self.dot(h, z), rhs_k)
         new = self.mul(star, rhs_k)
         extended = self.axpy(z, p, new)
         extended.append(new)
@@ -259,7 +254,7 @@ class NonNegReal(Semiring):
     def mul(self, a, b):
         return a * b
 
-    def fold(self, xs, ys):
+    def dot(self, xs, ys):
         # reduce is the generic left fold; sum() starts at 0 (0 + -0.0 is
         # 0.0) and is compensated for floats from Python 3.12 on
         _check_dot(xs, ys)
@@ -307,7 +302,7 @@ class MaxPlus(Semiring):
     def mul(self, a, b):
         return a + b
 
-    def fold(self, xs, ys):
+    def dot(self, xs, ys):
         # max keeps the first of equal items, as add keeps its left operand;
         # the two differ only on NaN, which is outside the carrier
         _check_dot(xs, ys)
@@ -347,12 +342,12 @@ class MaxPlusComplete(MaxPlus):
     complete = True
     has_inverses = False
 
-    def fold(self, xs, ys):
+    def dot(self, xs, ys):
         # IEEE -inf + inf is NaN where mul gives -inf.  max skips a NaN after
         # the first item, as add skips -inf; only a NaN in first place
         # survives, and the generic dot handles that case.
-        acc = MaxPlus.fold(self, xs, ys)
-        return acc if acc == acc else self.dot(xs, ys)
+        acc = MaxPlus.dot(self, xs, ys)
+        return acc if acc == acc else Semiring.dot(self, xs, ys)
 
     def axpy(self, z, p, a):
         if a == POS_INF:
@@ -407,7 +402,7 @@ class MaxMin(Semiring):
     def mul(self, a, b):
         return a if a <= b else b
 
-    def fold(self, xs, ys):
+    def dot(self, xs, ys):
         _check_dot(xs, ys)
         return max([x if x <= y else y for x, y in zip(xs, ys)])
 
@@ -442,7 +437,7 @@ class Boolean(Semiring):
     def mul(self, a, b):
         return 1 if a and b else 0
 
-    def fold(self, xs, ys):
+    def dot(self, xs, ys):
         # on {0, 1} min(a, b) is truthy exactly when a and b both are
         _check_dot(xs, ys)
         return 1 if any(map(min, xs, ys)) else 0

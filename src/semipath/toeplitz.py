@@ -6,7 +6,7 @@ tail r[0:n-1] (n = len(r)).  ``levinson`` solves x = T x + b for an
 arbitrary right-hand side.  Both run one recursion, the private ``_steps``
 generator: at each size k it updates the pivot beta, stars it, and extends
 y (the self-generated solution) and, when b is given, x by one entry.  Both
-extensions are ``Semiring.border_step`` over the instance's ``fold`` and
+extensions are ``Semiring.border_step`` over the instance's ``dot`` and
 ``axpy`` kernels, the step ``bordering_solve`` takes: by persymmetry the
 leading closure times the new column is the reversed y, so the closure is
 never carried and the total operation count is quadratic in n rather than
@@ -24,7 +24,7 @@ test reference.
 ``SymToeplitz`` is the compact matrix (r0 and the first-row tail) that
 ``residual_check`` multiplies without expanding: ``matvec`` builds the lag
 list once and sums each row, a window of it, through the instance's
-``fold``, the kernel ``border_step`` runs.  The module needs only the
+``dot``, the kernel ``border_step`` runs.  The module needs only the
 scalar operations and ``semirings._star``: it loads the dense ``matrices``
 module only when ``SymToeplitz.expand`` builds a Matrix, and never the cubic
 ``bordering`` module.
@@ -81,8 +81,8 @@ class SymToeplitz:
         # ext holds lags n-1, ..., 1, 0, 1, ..., n-1; row i (lags i, ..., 0,
         # ..., n-1-i) is the window of n entries starting at lag i
         ext = lag[:0:-1] + lag
-        fold = self.semiring.fold
-        return [fold(ext[n - 1 - i:2 * n - 1 - i], xs) for i in range(n)]
+        dot = self.semiring.dot
+        return [dot(ext[n - 1 - i:2 * n - 1 - i], xs) for i in range(n)]
 
 
 class SolveState(namedtuple("SolveState", "k y alpha beta x mu", defaults=(None, None))):

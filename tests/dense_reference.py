@@ -1,5 +1,5 @@
-"""Dense test references: the zero and exchange matrices, the transpose, and
-persymmetry.
+"""Dense test references: the zero and exchange matrices, the transpose,
+persymmetry, and a matrix moved onto the generic kernels.
 
 The solvers need only matrix sums, products and the closure, so ``Matrix``
 carries none of these.  They are plain functions over ``Matrix.from_rows``
@@ -7,9 +7,19 @@ and ``Matrix.to_rows``.  Persymmetry, symmetry about the anti-diagonal, is
 the premise of the Toeplitz recursions: a symmetric Toeplitz matrix is
 persymmetric, so is its closure, and so the leading closure times the new
 column is the reversed self-generated solution.
+
+``Matrix.mul``, and so ``series_closure``, sums through the instance's
+``dot``, the kernel the solvers run.  ``on_generic_kernels`` moves a matrix
+onto ``CountingSemiring``, which keeps the generic ``Semiring.dot``, so the
+series oracle taken there shares no summation kernel with the solvers.
 """
 
-from semipath import Matrix, ShapeMismatch
+from semipath import CountingSemiring, Matrix, ShapeMismatch
+
+
+def on_generic_kernels(A):
+    """A's entries over ``CountingSemiring(A.semiring)``."""
+    return Matrix(A.rows, A.cols, A.data, CountingSemiring(A.semiring))
 
 
 def zeros(rows, cols, sr):

@@ -3,7 +3,7 @@
 The solvers update the pivot in constant time, beta_{k+1} = beta_k (+)
 s_k alpha_k.  ``dot_pivot_steps`` forms it from its definition at every
 step, beta_k = r0 (+) r[:k] . y[:k], and extends y and x through the
-``border_step`` of a ``CountingSemiring``, which runs the generic ``fold``
+``border_step`` of a ``CountingSemiring``, which runs the generic ``dot``
 and ``axpy``, so neither the update nor an instance kernel is under test
 when the solvers are compared with it.  Its errors come from
 the solvers' own ``_star`` and ``_check_carrier``, at the same sizes.

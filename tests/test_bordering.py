@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import semipath as sp
 from semipath import Matrix, NEG_INF, POS_INF
 
-from dense_reference import exchange, is_persymmetric, transpose, zeros
+from dense_reference import exchange, is_persymmetric, on_generic_kernels, transpose, zeros
 from test_semirings import KERNEL_VALUES, typed
 
 MP = sp.get_semiring("max-plus")
@@ -87,24 +87,29 @@ def test_quasi_inverse_identity_holds_exactly():
         assert C.equals(I.add(C.mul(A)))
 
 
+def assert_closure_matches_the_series(A):
+    """bordering_closure(A) equals series_closure(A) on the instance's dot,
+    which the closure runs too, and on the generic one, which it does not."""
+    closure = typed(sp.bordering_closure(A).to_flat())
+    assert closure == typed(sp.series_closure(A).to_flat())
+    assert closure == typed(sp.series_closure(on_generic_kernels(A)).to_flat())
+
+
 def test_bordering_agrees_with_series_oracle_seeded():
     rng = random.Random(12)
     for _ in range(60):
         n = rng.randint(1, 8)
-        A = random_closable_maxplus(rng, n)
-        assert sp.bordering_closure(A).to_flat() == sp.series_closure(A).to_flat()
+        assert_closure_matches_the_series(random_closable_maxplus(rng, n))
     for _ in range(30):
         n = rng.randint(1, 6)
-        A = random_boolean(rng, n)
-        assert sp.bordering_closure(A).to_flat() == sp.series_closure(A).to_flat()
+        assert_closure_matches_the_series(random_boolean(rng, n))
 
 
 @settings(max_examples=50)
 @given(st.integers(1, 5), st.data())
 def test_bordering_agrees_with_series_oracle_property(n, data):
     entries = data.draw(st.lists(st.integers(-9, 0), min_size=n * n, max_size=n * n))
-    A = Matrix(n, n, entries, MP)
-    assert sp.bordering_closure(A).to_flat() == sp.series_closure(A).to_flat()
+    assert_closure_matches_the_series(Matrix(n, n, entries, MP))
 
 
 def test_closure_of_persymmetric_is_persymmetric():
@@ -132,7 +137,7 @@ def bordering_outcome(solver, *args):
 @pytest.mark.parametrize("sr", list(sp.REGISTRY.values()), ids=lambda s: s.name)
 def test_bordering_sums_match_the_generic_dot(sr):
     # the steps take p = C g, q = h^T C and the pivot sum through the
-    # instance's fold; CountingSemiring keeps the generic Semiring.dot.
+    # instance's dot; CountingSemiring keeps the generic Semiring.dot.
     # Every other draw keeps to values whose star exists, so that nonneg-real
     # and max-plus also reach the full size and not only an early error
     pool = KERNEL_VALUES[sr.name]
@@ -154,12 +159,12 @@ def test_bordering_sums_match_the_generic_dot(sr):
     assert solved >= 20, solved
 
 
-def test_max_plus_complete_bordering_takes_the_fold_fallback():
+def test_max_plus_complete_bordering_takes_the_dot_fallback():
     # p = C g and q = h^T C open with +inf + -inf, which is NaN under IEEE
-    # and -inf under mul; MaxPlus's fold keeps that NaN, so MaxPlusComplete's
-    # falls back to dot
+    # and -inf under mul; MaxPlus's dot keeps that NaN, so MaxPlusComplete's
+    # falls back to the generic Semiring.dot
     MPC = sp.get_semiring("max-plus-complete")
-    assert math.isnan(sp.MaxPlus.fold(MPC, [POS_INF], [NEG_INF]))
+    assert math.isnan(sp.MaxPlus.dot(MPC, [POS_INF], [NEG_INF]))
     A = sp.SymToeplitz(1, [NEG_INF], MPC).expand()
     assert sp.bordering_closure(A).to_rows() == [[POS_INF, NEG_INF], [NEG_INF, POS_INF]]
     assert sp.bordering_solve(A, [0, 0]).to_flat() == [POS_INF, POS_INF]

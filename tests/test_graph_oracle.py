@@ -1,0 +1,99 @@
+"""durbin, levinson and bordering_solve against graph algorithms that share
+no code with semipath (``graph_oracle``), typed-equal, up to n = 256.
+
+The draws converge: max-plus Toeplitz lags are at most 0, and a bordering
+matrix is w_ij + phi_i - phi_j with w_ij at most 0, so every cycle weighs
+at most 0 while single entries can be positive.  Each entry is -inf, a
+missing edge, with a per-case probability, so the graphs range from dense
+to mostly disconnected.  Values are integer-valued floats, so every sum is
+exact on both sides.
+"""
+
+import random
+
+import pytest
+
+pytest.importorskip("scipy")
+
+import semipath as sp
+from semipath import Matrix, NEG_INF
+
+from graph_oracle import boolean_least_solution, max_plus_least_solution
+from test_semirings import typed
+
+MP = sp.get_semiring("max-plus")
+BOOL = sp.get_semiring("boolean")
+
+SIZES = (1, 2, 5, 16, 64, 256)
+
+
+def cases(n):
+    return 1 if n > 64 else 4
+
+
+def toeplitz_rows(r0, tail):
+    lag = [r0, *tail]
+    n = len(lag)
+    return [[lag[abs(i - j)] for j in range(n)] for i in range(n)]
+
+
+def weight(rng, missing):
+    """An integer-valued float in [-9, 0], or -inf with probability missing."""
+    return NEG_INF if rng.random() < missing else float(rng.randint(-9, 0))
+
+
+def max_plus_rhs(rng, n):
+    return [NEG_INF if rng.random() < 0.3 else float(rng.randint(-9, 9)) for _ in range(n)]
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_max_plus_toeplitz_solvers_match_shortest_paths(n):
+    rng = random.Random(f"graph-oracle:max-plus-toeplitz:{n}")
+    for _ in range(cases(n)):
+        missing = rng.choice((0.2, 0.9))
+        r0, r = weight(rng, missing), [weight(rng, missing) for _ in range(n)]
+        rows = toeplitz_rows(r0, r[:-1])
+        assert typed(sp.durbin(MP, r0, r)) == typed(max_plus_least_solution(rows, r))
+        b = max_plus_rhs(rng, n)
+        assert typed(sp.levinson(MP, r0, r[:-1], b)) == typed(max_plus_least_solution(rows, b))
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_max_plus_bordering_solve_matches_shortest_paths(n):
+    rng = random.Random(f"graph-oracle:max-plus-bordering:{n}")
+    for _ in range(cases(n)):
+        missing = rng.choice((0.2, 0.9))
+        phi = [rng.randint(0, 20) for _ in range(n)]
+        rows = [[weight(rng, missing) + phi[i] - phi[j] for j in range(n)] for i in range(n)]
+        b = max_plus_rhs(rng, n)
+        got = sp.bordering_solve(Matrix.from_rows(rows, MP), b).to_flat()
+        assert typed(got) == typed(max_plus_least_solution(rows, b))
+
+
+def bits(rng, n, density):
+    return [1 if rng.random() < density else 0 for _ in range(n)]
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_boolean_toeplitz_solvers_match_connected_components(n):
+    rng = random.Random(f"graph-oracle:boolean-toeplitz:{n}")
+    for _ in range(cases(n)):
+        r0, r = rng.randint(0, 1), bits(rng, n, rng.choice((1 / n, 3 / n)))
+        rows = toeplitz_rows(r0, r[:-1])
+        assert typed(sp.durbin(BOOL, r0, r)) == typed(boolean_least_solution(rows, r))
+        b = bits(rng, n, 0.1)
+        assert typed(sp.levinson(BOOL, r0, r[:-1], b)) == typed(boolean_least_solution(rows, b))
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_boolean_bordering_solve_matches_connected_components(n):
+    rng = random.Random(f"graph-oracle:boolean-bordering:{n}")
+    for _ in range(cases(n)):
+        density = rng.choice((1 / n, 2 / n, 0.5))
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = 1 if rng.random() < density else 0
+        b = bits(rng, n, 0.1)
+        got = sp.bordering_solve(Matrix.from_rows(rows, BOOL), b).to_flat()
+        assert typed(got) == typed(boolean_least_solution(rows, b))

@@ -133,6 +133,33 @@ def test_mul_associative_and_distributive(mats):
     assert B.add(C).mul(A).equals(B.mul(A).add(C.mul(A)))
 
 
+@pytest.mark.parametrize("sr", list(sp.REGISTRY.values()), ids=lambda s: s.name)
+def test_mul_matches_the_generic_dot(sr):
+    # each entry of a product is the instance's dot of a row and a column;
+    # CountingSemiring keeps the generic Semiring.dot.  The pool holds the
+    # sentinels, so max-plus-complete's -inf + inf sums take its fallback
+    pool = KERNEL_VALUES[sr.name]
+    counted = sp.CountingSemiring(sr)
+    rng = random.Random(f"matrix-mul:{sr.name}")
+    for _ in range(300):
+        n, k, m = rng.randint(1, 4), rng.randint(1, 6), rng.randint(1, 4)
+        a = [rng.choice(pool) for _ in range(n * k)]
+        b = [rng.choice(pool) for _ in range(k * m)]
+        got = Matrix(n, k, a, sr).mul(Matrix(k, m, b, sr))
+        want = Matrix(n, k, a, counted).mul(Matrix(k, m, b, counted))
+        assert typed(got.to_flat()) == typed(want.to_flat()), (a, b)
+
+
+def test_max_plus_complete_product_takes_the_dot_fallback():
+    # entry (0, 0) opens with -inf + inf, which is NaN under IEEE and -inf
+    # under mul; entry (1, 1) meets inf + -inf in second place, which max skips
+    MPC = sp.get_semiring("max-plus-complete")
+    assert math.isnan(sp.MaxPlus.dot(MPC, [NEG_INF, -1], [POS_INF, POS_INF]))
+    A = Matrix.from_rows([[NEG_INF, -1], [0, POS_INF]], MPC)
+    B = Matrix.from_rows([[POS_INF, 2], [POS_INF, NEG_INF]], MPC)
+    assert A.mul(B).to_rows() == [[POS_INF, NEG_INF], [POS_INF, 2]]
+
+
 def test_transpose_involution():
     rng = random.Random(3)
     A = random_maxplus(rng, 3, 5)
@@ -199,9 +226,9 @@ def test_matvec_matches_expanded_product():
 
 @pytest.mark.parametrize("sr", list(sp.REGISTRY.values()), ids=lambda s: s.name)
 def test_matvec_matches_the_generic_dot_and_the_expanded_product(sr):
-    # matvec sums each row through the instance's fold over a window of one
-    # lag list; CountingSemiring keeps the generic Semiring.dot, and the
-    # expanded product runs Matrix.mul, so neither shares that kernel
+    # matvec sums each row through the instance's dot over a window of one
+    # lag list.  The expanded product runs Matrix.mul on the same kernel;
+    # CountingSemiring keeps the generic Semiring.dot, so it shares none
     pool = KERNEL_VALUES[sr.name]
     rng = random.Random(f"matvec:{sr.name}")
     for n in range(1, 10):
@@ -216,11 +243,12 @@ def test_matvec_matches_the_generic_dot_and_the_expanded_product(sr):
             assert typed(got) == typed(dense), (r0, tail, xs)
 
 
-def test_max_plus_complete_matvec_takes_the_fold_fallback():
+def test_max_plus_complete_matvec_takes_the_dot_fallback():
     # row 0 opens with -inf + inf, which is NaN under IEEE and -inf under mul;
-    # MaxPlus's fold keeps that NaN, so MaxPlusComplete's falls back to dot
+    # MaxPlus's dot keeps that NaN, so MaxPlusComplete's falls back to the
+    # generic Semiring.dot
     MPC = sp.get_semiring("max-plus-complete")
-    assert math.isnan(sp.MaxPlus.fold(MPC, [NEG_INF, -1], [POS_INF, POS_INF]))
+    assert math.isnan(sp.MaxPlus.dot(MPC, [NEG_INF, -1], [POS_INF, POS_INF]))
     T = SymToeplitz(NEG_INF, [-1], MPC)
     assert T.matvec([POS_INF, POS_INF]) == [POS_INF, POS_INF]
     assert T.expand().mul(Matrix.column([POS_INF, POS_INF], MPC)).to_flat() == [POS_INF, POS_INF]

@@ -253,14 +253,14 @@ def typed(values):
 
 
 def assert_kernels_match_the_generic_ones(sr, z, h, p, rhs_k, star):
-    """sr's step, fold, axpy and axpy_left return the objects of the generic
+    """sr's step, dot, axpy and axpy_left return the objects of the generic
     code run on sr's add and mul: CountingSemiring keeps the generic
     kernels."""
     got, new, s = sr.border_step(list(z), h, p, rhs_k, star)
     want, want_new, want_s = sp.CountingSemiring(sr).border_step(list(z), h, p, rhs_k, star)
     assert typed(got + [new, s]) == typed(want + [want_new, want_s]), (z, h, p, rhs_k, star)
     if z:
-        assert typed([sr.fold(h, z)]) == typed([sp.Semiring.dot(sr, h, z)]), (h, z)
+        assert typed([sr.dot(h, z)]) == typed([sp.Semiring.dot(sr, h, z)]), (h, z)
     assert typed(sr.axpy(z, p, rhs_k)) == typed(sp.Semiring.axpy(sr, z, p, rhs_k)), (z, p, rhs_k)
     assert (typed(sr.axpy_left(z, rhs_k, p))
             == typed(sp.Semiring.axpy_left(sr, z, rhs_k, p))), (z, rhs_k, p)
@@ -288,7 +288,7 @@ def test_border_step_length_mismatch_matches_the_generic_step(sr):
             sp.CountingSemiring(sr).border_step(list(z), h, z, sr.one, sr.one)
         assert str(got.value) == str(want.value)
         with pytest.raises(sp.ShapeMismatch) as got:
-            sr.fold(h, z)
+            sr.dot(h, z)
         with pytest.raises(sp.ShapeMismatch) as want:
             sp.Semiring.dot(sr, h, z)
         assert str(got.value) == str(want.value)
@@ -297,19 +297,20 @@ def test_border_step_length_mismatch_matches_the_generic_step(sr):
 
 
 def test_generic_kernels_where_counts_or_semantics_need_them():
-    # one border_step, on Semiring; every instance brings fold, axpy and
-    # axpy_left, and dot stays generic for the dense code
+    # one border_step, on Semiring, and one summation kernel, dot; every
+    # instance brings dot, axpy and axpy_left, which the solvers and the dense
+    # code share
+    assert not hasattr(sp.Semiring, "fold")
     for sr in ALL:
         assert type(sr).border_step is sp.Semiring.border_step
-        assert type(sr).dot is sp.Semiring.dot
-        assert type(sr).fold is not sp.Semiring.fold
+        assert type(sr).dot is not sp.Semiring.dot
         assert type(sr).axpy is not sp.Semiring.axpy
         assert type(sr).axpy_left is not sp.Semiring.axpy_left
     # the counting wrapper runs the generic kernels, so it sees every call
-    for name in ("fold", "axpy", "axpy_left", "border_step", "dot"):
+    for name in ("dot", "axpy", "axpy_left", "border_step"):
         assert getattr(sp.CountingSemiring, name) is getattr(sp.Semiring, name)
     # IEEE -inf + inf is NaN, so max-plus-complete cannot use MaxPlus's kernels
-    assert type(MPC).fold is not sp.MaxPlus.fold
+    assert type(MPC).dot is not sp.MaxPlus.dot
     assert type(MPC).axpy is not sp.MaxPlus.axpy
     assert type(MPC).axpy_left is not sp.MaxPlus.axpy_left
     assert MPC.border_step([NEG_INF], [POS_INF], [POS_INF], NEG_INF, 0) == (

@@ -9,6 +9,7 @@ import semipath as sp
 from semipath import Matrix, NEG_INF, POS_INF, SymToeplitz
 from semipath.cli import InstanceFile, random_bellman, random_yule_walker, run_solve
 
+from dense_reference import on_generic_kernels
 from pivot_reference import beta_update, dot_pivot_solve, dot_pivot_steps
 
 MP = sp.get_semiring("max-plus")
@@ -139,11 +140,14 @@ def test_levinson_maxplus_example():
 
 def test_levinson_matches_closure_product():
     # T* = [[0,-2],[-2,0]] so x = T* b
+    # the series runs on the instance's dot, as levinson does, and on the
+    # generic one through CountingSemiring
     T = SymToeplitz(-1, [-2], MP).expand()
-    star = sp.series_closure(T)
-    assert star.to_rows() == [[0, -2], [-2, 0]]
-    x = star.mul(Matrix.column([0, -1], MP)).to_flat()
-    assert sp.levinson(MP, -1, [-2], [0, -1]) == x
+    for A in (T, on_generic_kernels(T)):
+        star = sp.series_closure(A)
+        assert star.to_rows() == [[0, -2], [-2, 0]]
+        x = star.mul(Matrix.column([0, -1], A.semiring)).to_flat()
+        assert sp.levinson(MP, -1, [-2], [0, -1]) == x
 
 
 def test_levinson_reduces_to_durbin_on_self_generated_rhs():
