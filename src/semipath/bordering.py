@@ -6,8 +6,9 @@ Two routes:
   leading 1x1 corner, extending the closed submatrix by one row and column
   per step.  The running closure is kept and updated in place of being
   recomputed, which makes the total cost cubic in n.  Each step's three
-  inner products go through the instance's ``dot`` kernel and its
-  rank-one row update through ``axpy_left``.
+  inner products go through the instance's ``dot`` kernel.  The closure is
+  held column by column, so its rank-one update is one ``axpy`` per
+  column, with the vector on the left as in ``border_step``.
   The solution grows one entry per step through ``Semiring.border_step``
   over the instance's ``dot`` and ``axpy`` kernels; the Toeplitz solvers
   take the same step with the reversed self-generated solution in place of
@@ -80,32 +81,32 @@ def _bordering_steps(sr, rows):
 
     Step k borders C with the column g above the new corner and the row h
     left of it: with p = C g, q = h^T C and u = (h . p + a_kk)*, the new
-    closure is [[C + p u q, p u], [u q, u]].  p, q and the pivot sum h . p
-    are taken through ``sr.dot``, each with the row on the left.  The
-    rank-one update C + (p u) q builds row i as ``sr.axpy_left(C[i], v_i,
-    q)`` with v_i = p_i u, which multiplies scalar-left, and appends v_i to
-    the new list the kernel returns.  Yields (C, h, p, u) per step; the
-    first has empty h and p.
+    closure is [[C + p u q, p u], [u q, u]].  C is held as a list of its
+    columns.  p, q and the pivot sum h . p are taken through ``sr.dot``,
+    each with the row on the left.  With v = p u, column j of the rank-one
+    update C + v q is ``sr.axpy(C[:, j], v, q_j)``, whose products
+    mul(v_i, q_j) keep v on the left, and u q_j is appended to the new list
+    the kernel returns; the new last column is v with u appended.  Yields
+    (columns of C, h, p, u) per step; the first has empty h and p.
     """
-    sadd, smul, dot, axpy_left = sr.add, sr.mul, sr.dot, sr.axpy_left
-    C = [[_star(sr, rows[0][0], 1)]]
-    yield C, (), (), C[0][0]
+    sadd, smul, dot, axpy = sr.add, sr.mul, sr.dot, sr.axpy
+    cols = [[_star(sr, rows[0][0], 1)]]
+    yield cols, (), (), cols[0][0]
     for k in range(1, len(rows)):
         g = [row[k] for row in rows[:k]]
         h = rows[k][:k]
-        p = [dot(ci, g) for ci in C]
-        q = [dot(h, cj) for cj in zip(*C)]
+        p = [dot(ci, g) for ci in zip(*cols)]
+        q = [dot(h, cj) for cj in cols]
         u = _star(sr, sadd(dot(h, p), rows[k][k]), k + 1)
-        w = [smul(u, qj) for qj in q]
-        C_next = []
-        for ci, pi in zip(C, p):
-            vi = smul(pi, u)
-            row = axpy_left(ci, vi, q)
-            row.append(vi)
-            C_next.append(row)
-        C_next.append(w + [u])
-        C = C_next
-        yield C, h, p, u
+        v = [smul(pi, u) for pi in p]
+        cols_next = []
+        for cj, qj in zip(cols, q):
+            col = axpy(cj, v, qj)
+            col.append(smul(u, qj))
+            cols_next.append(col)
+        cols_next.append(v + [u])
+        cols = cols_next
+        yield cols, h, p, u
 
 
 def bordering_closure(A):
@@ -117,9 +118,9 @@ def bordering_closure(A):
     carrier.  When it succeeds the result satisfies A* = I + A A* = I + A* A.
     """
     _require_square(A)
-    for C, _, _, _ in _bordering_steps(A.semiring, A.to_rows()):
+    for cols, _, _, _ in _bordering_steps(A.semiring, A.to_rows()):
         pass
-    return Matrix.from_rows(C, A.semiring)
+    return Matrix.from_rows(list(zip(*cols)), A.semiring)
 
 
 def bordering_solve(A, b):

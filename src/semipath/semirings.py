@@ -15,17 +15,18 @@ Values are plain Python objects (ints, floats, ``float('inf')`` sentinels,
 or anything the operations accept); the instance object carries the
 operations, not the values.
 
-Sums of products go through kernels written once on ``Semiring`` through
-``add`` and ``mul``: ``dot``, ``axpy``, ``axpy_left`` and the bordering
-step ``border_step`` over ``dot`` and ``axpy``.  Each registered instance
-overrides ``dot``, ``axpy`` and ``axpy_left`` with single-pass builtin
-forms that return the same objects as the generic code.  ``dot`` is the
-one summation kernel: the sum that ``border_step`` stars, each row of
-``SymToeplitz.matvec``, the bordering closure's ``p = C g``, ``q = h^T C``
-and pivot sum, and each entry of ``Matrix.mul``, that is, the dense checks
-and ``series_closure``.  ``axpy`` multiplies vector-left, ``mul(p[j], a)``,
-for ``border_step``; ``axpy_left`` multiplies scalar-left,
-``mul(a, q[j])``, for the bordering closure's rank-one row update.
+Sums of products go through two kernels written once on ``Semiring``
+through ``add`` and ``mul``, ``dot`` and ``axpy``, and through the
+bordering step ``border_step`` over them.  Each registered instance
+overrides ``dot`` and ``axpy`` with single-pass builtin forms that return
+the same objects as the generic code.  ``dot`` is the one summation kernel:
+the sum that ``border_step`` stars, each row of ``SymToeplitz.matvec``, the
+bordering closure's ``p = C g``, ``q = h^T C`` and pivot sum, and each entry
+of ``Matrix.mul``, that is, the dense checks and ``series_closure``.
+``axpy`` is the one update kernel.  It multiplies vector-left,
+``mul(p[j], a)``, which is the order both updates need: ``border_step``'s
+``p[j]`` times the new entry, and, column by column, the bordering
+closure's rank-one update, ``v[i]`` times ``q[j]``.
 ``CountingSemiring`` keeps the generic kernels, so it sees every operation
 and stays a reference the instance kernels are tested against.
 """
@@ -128,15 +129,6 @@ class Semiring:
         the same objects."""
         add, mul = self.add, self.mul
         return [add(zj, mul(pj, a)) for zj, pj in zip(z, p)]
-
-    def axpy_left(self, z, a, q):
-        """A new list of add(z[j], mul(a, q[j])) over j: ``axpy`` with the
-        scalar on the left, the order of the bordering closure's rank-one row
-        update.  On a non-commutative semiring the two are different
-        products.  len(z) ``mul`` and len(z) ``add`` calls go through
-        ``self``; instance overrides return the same objects."""
-        add, mul = self.add, self.mul
-        return [add(zj, mul(a, qj)) for zj, qj in zip(z, q)]
 
     def border_step(self, z, h, p, rhs_k, star):
         """Extend z, which solves a leading k-by-k system (k = len(z)), by one
@@ -263,9 +255,6 @@ class NonNegReal(Semiring):
     def axpy(self, z, p, a):
         return [zj + pj * a for zj, pj in zip(z, p)]
 
-    def axpy_left(self, z, a, q):
-        return [zj + a * qj for zj, qj in zip(z, q)]
-
     def closure(self, a):
         if not a < self.one:  # NaN included
             return None
@@ -311,9 +300,6 @@ class MaxPlus(Semiring):
     def axpy(self, z, p, a):
         return [zj if zj >= (t := pj + a) else t for zj, pj in zip(z, p)]
 
-    def axpy_left(self, z, a, q):
-        return [zj if zj >= (t := a + qj) else t for zj, qj in zip(z, q)]
-
     def closure(self, a):
         return self.one if a <= self.one else None
 
@@ -356,14 +342,6 @@ class MaxPlusComplete(MaxPlus):
         if a == NEG_INF:
             return list(z)
         return MaxPlus.axpy(self, z, p, a)
-
-    def axpy_left(self, z, a, q):
-        if a == POS_INF:
-            # mul(+inf, q[j]) is -inf where q[j] is -inf and +inf elsewhere
-            return [zj if qj == NEG_INF or zj == POS_INF else a for zj, qj in zip(z, q)]
-        if a == NEG_INF:
-            return list(z)
-        return MaxPlus.axpy_left(self, z, a, q)
 
     def mul(self, a, b):
         if a == NEG_INF or b == NEG_INF:
@@ -409,10 +387,6 @@ class MaxMin(Semiring):
     def axpy(self, z, p, a):
         return [zj if zj >= (t := pj if pj <= a else a) else t for zj, pj in zip(z, p)]
 
-    def axpy_left(self, z, a, q):
-        # scalar-left: on an int/float tie mul keeps a, so a's type wins
-        return [zj if zj >= (t := a if a <= qj else qj) else t for zj, qj in zip(z, q)]
-
     def closure(self, a):
         return self.one
 
@@ -444,9 +418,6 @@ class Boolean(Semiring):
 
     def axpy(self, z, p, a):
         return [1 if zj or (pj and a) else 0 for zj, pj in zip(z, p)]
-
-    def axpy_left(self, z, a, q):
-        return [1 if zj or (a and qj) else 0 for zj, qj in zip(z, q)]
 
     def closure(self, a):
         return 1

@@ -12,16 +12,25 @@ with ``scipy.sparse.csgraph``:
   algorithm, which allows the negative weights of positive entries).  A
   convergent input has no cycle of positive weight, so the negated graph
   has no negative cycle.
+* max-min, for a symmetric matrix: x_i is the largest min(w, b_j), w the
+  width of a widest path from i to j (+inf for j = i).  In an undirected
+  graph a widest path runs inside a maximum spanning forest (Hu, 1961), so
+  w is the smallest entry on the forest path from i to j.
 * boolean, for a symmetric matrix: x_i is 1 exactly when the connected
   component of i holds some j with b_j = 1.
 
-Both take the matrix as a list of rows and return a list of Python values:
-floats for max-plus (so integer-valued float inputs give exact answers),
-the ints 0 and 1 for boolean.
+Each takes the matrix as a list of rows and returns a list of Python
+values: floats for max-plus and max-min (so integer-valued float inputs
+give exact answers), the ints 0 and 1 for boolean.
 """
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components, csgraph_from_dense, shortest_path
+from scipy.sparse.csgraph import (
+    connected_components,
+    csgraph_from_dense,
+    minimum_spanning_tree,
+    shortest_path,
+)
 
 
 def max_plus_least_solution(rows, b):
@@ -30,6 +39,38 @@ def max_plus_least_solution(rows, b):
     graph = csgraph_from_dense(-np.array(rows, dtype=float), null_value=np.inf)
     dist = shortest_path(graph, method="J", directed=True)
     return (np.array(b, dtype=float) - dist).max(axis=1).tolist()
+
+
+def max_min_least_solution(rows, b):
+    """A* b over max-min for a symmetric matrix ``rows``; -inf entries are
+    missing edges and the diagonal is not read."""
+    a = np.array(rows, dtype=float)
+    n = len(a)
+    values = np.unique(a[a > -np.inf]).tolist()
+    # rank the entries from len(values) for the smallest down to 1 for the
+    # largest: every edge stays positive, so none reads as missing, and a
+    # minimum spanning forest of the ranks is a maximum one of the entries
+    ranks = np.zeros((n, n))
+    present = a > -np.inf
+    ranks[present] = len(values) - np.searchsorted(values, a[present])
+    np.fill_diagonal(ranks, 0)
+    forest = minimum_spanning_tree(ranks).tocoo()
+    adjacent = [[] for _ in range(n)]
+    for i, j, rank in zip(forest.row.tolist(), forest.col.tolist(), forest.data.tolist()):
+        w = values[len(values) - int(rank)]
+        adjacent[i].append((j, w))
+        adjacent[j].append((i, w))
+    x = []
+    for source in range(n):
+        width, todo = {source: np.inf}, [source]
+        while todo:
+            i = todo.pop()
+            for j, w in adjacent[i]:
+                if j not in width:
+                    width[j] = min(width[i], w)
+                    todo.append(j)
+        x.append(max(min(w, b[j]) for j, w in width.items()))
+    return x
 
 
 def boolean_least_solution(rows, b):

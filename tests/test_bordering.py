@@ -171,28 +171,33 @@ def test_max_plus_complete_bordering_takes_the_dot_fallback():
 
 
 class RowUpdateSpy(sp.MaxPlusComplete):
-    """max-plus-complete that records the scalar of every row update."""
+    """max-plus-complete that records the scalar of every ``axpy`` call."""
 
     def __init__(self):
         self.scalars = []
 
-    def axpy_left(self, z, a, q):
+    def axpy(self, z, p, a):
         self.scalars.append(a)
-        return super().axpy_left(z, a, q)
+        return super().axpy(z, p, a)
 
 
+# bordering_closure calls axpy only for its rank-one update, column j as
+# axpy(C[:, j], v, q_j), so the spy records each q_j
 @pytest.mark.parametrize("rows,b,scalars", [
-    # r0 = 1 stars to u = +inf, and so does every later pivot
+    # r0 = 1 stars to +inf, so q = h^T C is +inf at every step
     (sp.SymToeplitz(1, [1, -2], sp.get_semiring("max-plus-complete")).expand().to_rows(),
      [0, -1, 2], {POS_INF}),
-    # node 1 has a positive loop and does not reach node 0, so the size-2
-    # update has v = 0 * +inf = +inf against q = [-inf] and keeps C[0][0] = 0;
-    # nothing reaches node 2, so g = [-inf, -inf] gives v = -inf at size 3
+    # h = [-inf] makes q = [-inf] at size 2; node 1 has a positive loop, so
+    # column 1 of the size-2 closure is +inf and h = [-inf, 0] gives
+    # q = [-inf, +inf] at size 3, where g = [-inf, -inf] makes v = p u = -inf
     ([[-1, 0, NEG_INF], [NEG_INF, 1, NEG_INF], [NEG_INF, 0, -3]], [0, NEG_INF, 2],
      {POS_INF, NEG_INF}),
-    # g = [-inf] makes p = [-inf], so v = p u is -inf under the finite u = 0
-    ([[-1, NEG_INF, 0], [0, -1, NEG_INF], [-2, 0, -3]], [0, NEG_INF, -1], {NEG_INF}),
-], ids=["toeplitz-inf-star", "inf-star-and-neg-inf-p", "neg-inf-p"])
+    # g = [-inf] makes p = [-inf], so v = p u is -inf against the finite q_j
+    ([[-1, NEG_INF, 0], [0, -1, NEG_INF], [-2, 0, -3]], [0, NEG_INF, -1], {0}),
+    # the lag -inf puts -inf in h, so q_j = -inf beside a finite q_j
+    (sp.SymToeplitz(0, [NEG_INF, -1], sp.get_semiring("max-plus-complete")).expand().to_rows(),
+     [0, 0, 0], {NEG_INF, -1}),
+], ids=["toeplitz-inf-star", "inf-star-and-neg-inf-p", "neg-inf-p", "toeplitz-neg-inf-lag"])
 def test_max_plus_complete_row_update_branches_match_the_oracles(rows, b, scalars):
     spy = RowUpdateSpy()
     A = Matrix.from_rows(rows, spy)

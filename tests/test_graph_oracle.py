@@ -1,12 +1,14 @@
 """durbin, levinson and bordering_solve against graph algorithms that share
 no code with semipath (``graph_oracle``), typed-equal, up to n = 256.
 
-The draws converge: max-plus Toeplitz lags are at most 0, and a bordering
+The max-plus draws converge: Toeplitz lags are at most 0, and a bordering
 matrix is w_ij + phi_i - phi_j with w_ij at most 0, so every cycle weighs
-at most 0 while single entries can be positive.  Each entry is -inf, a
-missing edge, with a per-case probability, so the graphs range from dense
-to mostly disconnected.  Values are integer-valued floats, so every sum is
-exact on both sides.
+at most 0 while single entries can be positive.  Every max-min and boolean
+draw converges, and the oracles for both need a symmetric matrix, so their
+bordering matrices are symmetric too.  Each entry is -inf (0 on boolean),
+a missing edge, with a per-case probability, so the graphs range from
+dense to mostly disconnected.  Values are integer-valued floats, so every
+sum is exact on both sides, and never -0.0, whose repr differs from 0.0's.
 """
 
 import random
@@ -16,12 +18,13 @@ import pytest
 pytest.importorskip("scipy")
 
 import semipath as sp
-from semipath import Matrix, NEG_INF
+from semipath import Matrix, NEG_INF, POS_INF
 
-from graph_oracle import boolean_least_solution, max_plus_least_solution
+from graph_oracle import boolean_least_solution, max_min_least_solution, max_plus_least_solution
 from test_semirings import typed
 
 MP = sp.get_semiring("max-plus")
+MM = sp.get_semiring("max-min")
 BOOL = sp.get_semiring("boolean")
 
 SIZES = (1, 2, 5, 16, 64, 256)
@@ -68,6 +71,40 @@ def test_max_plus_bordering_solve_matches_shortest_paths(n):
         b = max_plus_rhs(rng, n)
         got = sp.bordering_solve(Matrix.from_rows(rows, MP), b).to_flat()
         assert typed(got) == typed(max_plus_least_solution(rows, b))
+
+
+def max_min_value(rng, missing):
+    """-inf with probability missing, else +inf or an integer-valued float
+    in [-9, 9]."""
+    if rng.random() < missing:
+        return NEG_INF
+    return POS_INF if rng.random() < 0.05 else float(rng.randint(-9, 9))
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_max_min_toeplitz_solvers_match_widest_paths(n):
+    rng = random.Random(f"graph-oracle:max-min-toeplitz:{n}")
+    for _ in range(cases(n)):
+        missing = rng.choice((0.2, 0.9))
+        r0, r = max_min_value(rng, missing), [max_min_value(rng, missing) for _ in range(n)]
+        rows = toeplitz_rows(r0, r[:-1])
+        assert typed(sp.durbin(MM, r0, r)) == typed(max_min_least_solution(rows, r))
+        b = [max_min_value(rng, 0.3) for _ in range(n)]
+        assert typed(sp.levinson(MM, r0, r[:-1], b)) == typed(max_min_least_solution(rows, b))
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_max_min_bordering_solve_matches_widest_paths(n):
+    rng = random.Random(f"graph-oracle:max-min-bordering:{n}")
+    for _ in range(cases(n)):
+        missing = rng.choice((0.2, 0.9))
+        rows = [[NEG_INF] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = max_min_value(rng, missing)
+        b = [max_min_value(rng, 0.3) for _ in range(n)]
+        got = sp.bordering_solve(Matrix.from_rows(rows, MM), b).to_flat()
+        assert typed(got) == typed(max_min_least_solution(rows, b))
 
 
 def bits(rng, n, density):

@@ -5,8 +5,8 @@ wrong order still passes on them.  Here a scalar is a 2x2 max-plus matrix:
 ``add`` is the entrywise max and ``mul`` the max-plus matrix product, which
 is associative and distributes over ``add`` but does not commute.  The
 solvers need exactly that, so they must equal the series oracle here too.
-The instance overrides no kernel, so the generic ``dot``, ``axpy``,
-``axpy_left`` and ``border_step`` run, bare and through ``CountingSemiring``.
+The instance overrides no kernel, so the generic ``dot``, ``axpy`` and
+``border_step`` run, bare and through ``CountingSemiring``.
 """
 
 import random

@@ -253,17 +253,14 @@ def typed(values):
 
 
 def assert_kernels_match_the_generic_ones(sr, z, h, p, rhs_k, star):
-    """sr's step, dot, axpy and axpy_left return the objects of the generic
-    code run on sr's add and mul: CountingSemiring keeps the generic
-    kernels."""
+    """sr's step, dot and axpy return the objects of the generic code run on
+    sr's add and mul: CountingSemiring keeps the generic kernels."""
     got, new, s = sr.border_step(list(z), h, p, rhs_k, star)
     want, want_new, want_s = sp.CountingSemiring(sr).border_step(list(z), h, p, rhs_k, star)
     assert typed(got + [new, s]) == typed(want + [want_new, want_s]), (z, h, p, rhs_k, star)
     if z:
         assert typed([sr.dot(h, z)]) == typed([sp.Semiring.dot(sr, h, z)]), (h, z)
     assert typed(sr.axpy(z, p, rhs_k)) == typed(sp.Semiring.axpy(sr, z, p, rhs_k)), (z, p, rhs_k)
-    assert (typed(sr.axpy_left(z, rhs_k, p))
-            == typed(sp.Semiring.axpy_left(sr, z, rhs_k, p))), (z, rhs_k, p)
 
 
 @pytest.mark.parametrize("sr", ALL, ids=lambda s: s.name)
@@ -297,22 +294,22 @@ def test_border_step_length_mismatch_matches_the_generic_step(sr):
 
 
 def test_generic_kernels_where_counts_or_semantics_need_them():
-    # one border_step, on Semiring, and one summation kernel, dot; every
-    # instance brings dot, axpy and axpy_left, which the solvers and the dense
-    # code share
+    # one border_step, on Semiring, one summation kernel, dot, and one update
+    # kernel, axpy; every instance brings dot and axpy, which the solvers and
+    # the dense code share
     assert not hasattr(sp.Semiring, "fold")
+    assert not hasattr(sp.Semiring, "axpy_left")
     for sr in ALL:
         assert type(sr).border_step is sp.Semiring.border_step
         assert type(sr).dot is not sp.Semiring.dot
         assert type(sr).axpy is not sp.Semiring.axpy
-        assert type(sr).axpy_left is not sp.Semiring.axpy_left
+        assert not hasattr(sr, "axpy_left")
     # the counting wrapper runs the generic kernels, so it sees every call
-    for name in ("dot", "axpy", "axpy_left", "border_step"):
+    for name in ("dot", "axpy", "border_step"):
         assert getattr(sp.CountingSemiring, name) is getattr(sp.Semiring, name)
     # IEEE -inf + inf is NaN, so max-plus-complete cannot use MaxPlus's kernels
     assert type(MPC).dot is not sp.MaxPlus.dot
     assert type(MPC).axpy is not sp.MaxPlus.axpy
-    assert type(MPC).axpy_left is not sp.MaxPlus.axpy_left
     assert MPC.border_step([NEG_INF], [POS_INF], [POS_INF], NEG_INF, 0) == (
         [NEG_INF, NEG_INF], NEG_INF, NEG_INF)
 
@@ -332,9 +329,9 @@ def test_max_plus_complete_border_step_matches_the_generic_step_with_overflow():
 
 @pytest.mark.parametrize("sr", ALL, ids=lambda s: s.name)
 def test_axpy_kernels_return_a_new_list(sr):
-    # the bordering steps append to the row axpy_left returns and border_step
-    # to the list axpy returns, so handing back z itself would change a C or
-    # an x that an earlier step already yielded.  Every scalar of the pool
+    # the bordering steps append to the column and border_step to the list
+    # that axpy returns, so handing back z itself would change a C or an x
+    # that an earlier step already yielded.  Every scalar of the pool
     # runs, so max-plus-complete's +inf and -inf branches do too
     pool = KERNEL_VALUES[sr.name]
     for k in (0, 1, 4):
@@ -342,7 +339,6 @@ def test_axpy_kernels_return_a_new_list(sr):
         for a in pool:
             for kernels in (sr, sp.CountingSemiring(sr)):
                 assert kernels.axpy(z, p, a) is not z, (kernels, z, a)
-                assert kernels.axpy_left(z, a, p) is not z, (kernels, z, a)
         assert z == pool[:k]
 
 

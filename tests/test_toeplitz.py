@@ -101,6 +101,65 @@ def test_toeplitz_and_bordering_solvers_agree_on_the_failing_step():
     assert 0 < failed < 8 * 60
 
 
+def first_positive_lag_step(lags):
+    """1 plus the index of the first positive lag, or None when there is none.
+
+    A symmetric max-plus matrix has a closure exactly when no entry is
+    positive: a positive entry w closes a cycle of weight 2w (w on the
+    diagonal), and with every entry at most 0 no cycle is positive.  The
+    leading k-by-k block holds lags 0..k-1, so the first block without a
+    closure is the first to hold a positive lag.
+    """
+    return next((i + 1 for i, lag in enumerate(lags) if lag > 0), None)
+
+
+def test_max_plus_closure_undefined_names_the_first_positive_lag():
+    rng = random.Random(47)
+
+    def draw():
+        return NEG_INF if rng.random() < 0.2 else rng.randint(-6, 1)
+
+    steps = []
+    for n in range(1, 11):
+        for _ in range(40):
+            r0, r = draw(), [draw() for _ in range(n - 1)]
+            b = [draw() for _ in range(n)]
+            # durbin's T holds (r0, y[:-1]); y's last entry is a right-hand
+            # side only, so make it positive to show it is not read as a lag
+            y = r + [rng.choice((1, draw()))]
+            T = SymToeplitz(r0, r, MP).expand()
+            want = first_positive_lag_step((r0, *r))
+            for solve in (lambda: sp.durbin(MP, r0, y),
+                          lambda: sp.levinson(MP, r0, r, b),
+                          lambda: sp.bordering_solve(T, b)):
+                if want is None:
+                    solve()
+                else:
+                    with pytest.raises(sp.ClosureUndefined) as exc:
+                        solve()
+                    assert exc.value.step == want, (r0, r, b)
+            steps.append(want)
+    assert steps.count(None) >= 50 and set(range(1, 11)) <= set(steps), steps
+
+
+@pytest.mark.parametrize("sr,pool", [
+    (MM, [NEG_INF, POS_INF, -3, 0, 2, 7]),
+    (BOOL, [0, 1]),
+    (MPC, [NEG_INF, POS_INF, -3, 0, 2, 7]),
+], ids=["max-min", "boolean", "max-plus-complete"])
+def test_complete_instances_never_raise_closure_undefined(sr, pool):
+    rng = random.Random(f"complete:{sr.name}")
+    for n in range(1, 9):
+        for _ in range(30):
+            r0, r = rng.choice(pool), [rng.choice(pool) for _ in range(n - 1)]
+            b = [rng.choice(pool) for _ in range(n)]
+            T = SymToeplitz(r0, r, sr).expand()
+            assert len(sp.durbin(sr, r0, r + [rng.choice(pool)])) == n
+            assert len(sp.levinson(sr, r0, r, b)) == n
+            assert len(sp.bordering_closure(T).to_flat()) == n * n
+            assert len(sp.bordering_solve(T, b).to_flat()) == n
+
+
 def test_durbin_closure_undefined_steps():
     with pytest.raises(sp.ClosureUndefined) as exc:
         sp.durbin(MP, 1, [-2])
