@@ -99,9 +99,10 @@ class Matrix:
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
         sr = self.semiring
+        dot = sr.dot
         b, m = other.data, other.cols
         columns = [b[j::m] for j in range(m)]
-        out = [sr.dot(row, col) for row in self.to_rows() for col in columns]
+        out = [dot(row, col) for row in self.to_rows() for col in columns]
         return Matrix(self.rows, m, out, sr)
 
     def equals(self, other):

@@ -18,11 +18,15 @@ operations, not the values.
 Sums of products go through two kernels written once on ``Semiring``
 through ``add`` and ``mul``, ``dot`` and ``axpy``, and through the
 bordering step ``border_step`` over them.  Each registered instance
-overrides ``dot`` and ``axpy`` with single-pass builtin forms that return
-the same objects as the generic code.  ``dot`` is the one summation kernel:
-the sum that ``border_step`` stars, each row of ``SymToeplitz.matvec``, the
-bordering closure's ``p = C g``, ``q = h^T C`` and pivot sum, and each entry
-of ``Matrix.mul``, that is, the dense checks and ``series_closure``.
+overrides ``dot`` and ``axpy`` with single-pass forms that return the same
+objects as the generic code: builtins (``max``, ``any``, comprehensions),
+and for nonneg-real's ``dot`` an explicit left-fold loop, faster than
+``functools.reduce``, where ``sum``, ``math.fsum`` and ``math.sumprod``
+would change results (``NonNegReal.dot`` says how).
+``dot`` is the one summation kernel: the sum that ``border_step`` stars,
+each row of ``SymToeplitz.matvec``, the bordering closure's ``p = C g``,
+``q = h^T C`` and pivot sum, and each entry of ``Matrix.mul``, that is,
+the dense checks and ``series_closure``.
 ``axpy`` is the one update kernel.  It multiplies vector-left,
 ``mul(p[j], a)``, which is the order both updates need: ``border_step``'s
 ``p[j]`` times the new entry, and, column by column, the bordering
@@ -34,7 +38,6 @@ and stays a reference the instance kernels are tested against.
 import math
 import operator
 import random
-from functools import reduce
 
 from .errors import (
     ClosureUndefined,
@@ -247,10 +250,18 @@ class NonNegReal(Semiring):
         return a * b
 
     def dot(self, xs, ys):
-        # reduce is the generic left fold; sum() starts at 0 (0 + -0.0 is
-        # 0.0) and is compensated for floats from Python 3.12 on
+        # the generic left fold, written as a loop so that it runs on the
+        # interpreter's specialised float + and * (reduce over map does
+        # not).  sum() starts at 0 (0 + -0.0 is 0.0) and from Python 3.12
+        # compensates float rounding; math.fsum and math.sumprod round
+        # differently too
         _check_dot(xs, ys)
-        return reduce(operator.add, map(operator.mul, xs, ys))
+        pairs = zip(xs, ys)
+        x, y = next(pairs)
+        acc = x * y
+        for x, y in pairs:
+            acc = acc + x * y
+        return acc
 
     def axpy(self, z, p, a):
         return [zj + pj * a for zj, pj in zip(z, p)]

@@ -327,6 +327,27 @@ def test_max_plus_complete_border_step_matches_the_generic_step_with_overflow():
         assert_kernels_match_the_generic_ones(MPC, z, h, p, rhs_k, star)
 
 
+def test_nonneg_real_dot_is_the_float_left_fold():
+    # plain left-to-right float rounding: math.fsum, and sum() from Python
+    # 3.12 on, compensate and give 1.0000000000000002e16
+    ones = [1, 1, 1]
+    assert typed([NN.dot([1e16, 1.0, 1.0], ones)]) == typed([1e16])
+    assert math.fsum([1e16, 1.0, 1.0]) == 1.0000000000000002e16
+    # the first product starts the sum; sum() starts at 0, and 0 + -0.0 is 0.0
+    assert typed([NN.dot([-0.0], [1.0])]) == typed([-0.0])
+    assert typed([sum([-0.0 * 1.0])]) == typed([0.0])
+    # ints stay ints
+    assert typed([NN.dot([1, 2], [3, 4])]) == typed([11])
+    # SymToeplitz.matvec passes a tuple window of its lag list
+    rng = random.Random("nonneg-real:dot")
+    for k in (1, 2, 7, 64):
+        xs = [rng.uniform(0.0, 1.8) for _ in range(k)]
+        ys = [rng.uniform(0.0, 1.8) for _ in range(k)]
+        want = typed([sp.Semiring.dot(NN, xs, ys)])
+        assert typed([NN.dot(xs, ys)]) == want
+        assert typed([NN.dot(tuple(xs), ys)]) == typed([NN.dot(xs, tuple(ys))]) == want
+
+
 @pytest.mark.parametrize("sr", ALL, ids=lambda s: s.name)
 def test_axpy_kernels_return_a_new_list(sr):
     # the bordering steps append to the column and border_step to the list

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -158,6 +159,43 @@ def test_complete_instances_never_raise_closure_undefined(sr, pool):
             assert len(sp.levinson(sr, r0, r, b)) == n
             assert len(sp.bordering_closure(T).to_flat()) == n * n
             assert len(sp.bordering_solve(T, b).to_flat()) == n
+
+
+def test_nonneg_real_closure_undefined_names_the_first_block_with_lambda_max_one():
+    # T_k is symmetric and nonnegative, so it has a closure (I - T_k)^-1 >= 0
+    # exactly when lambda_max(T_k) < 1, and by Cauchy interlacing
+    # lambda_max(T_k) does not fall as k grows: the first leading block
+    # without a closure is the first k with lambda_max(T_k) >= 1.  The pivots
+    # and the eigenvalues round differently, so a draw abstains when a block
+    # that decides the step has |lambda_max - 1| within BAND
+    band = 1e-9
+    rng = random.Random(53)
+    steps, abstained = [], 0
+    for n in range(1, 11):
+        for _ in range(40):
+            scale = rng.uniform(0.0, 2.0 / n)
+            r0, r = rng.uniform(0.0, 1.1), [rng.uniform(0.0, scale) for _ in range(n - 1)]
+            b = [rng.uniform(0.0, 1.0) for _ in range(n)]
+            y = r + [rng.uniform(0.0, 1.0)]
+            T = SymToeplitz(r0, r, NN).expand()
+            rows = np.array(T.to_rows(), dtype=float)
+            lam = [np.linalg.eigvalsh(rows[:k, :k]).max() for k in range(1, n + 1)]
+            want = next((k for k, lam_k in enumerate(lam, 1) if lam_k >= 1), None)
+            if any(abs(lam_k - 1) <= band for lam_k in lam[:want]):
+                abstained += 1
+                continue
+            for solve in (lambda: sp.durbin(NN, r0, y),
+                          lambda: sp.levinson(NN, r0, r, b),
+                          lambda: sp.bordering_solve(T, b)):
+                if want is None:
+                    solve()
+                else:
+                    with pytest.raises(sp.ClosureUndefined) as exc:
+                        solve()
+                    assert exc.value.step == want, (r0, r, b)
+            steps.append(want)
+    assert abstained <= 4, abstained
+    assert steps.count(None) >= 100 and set(range(1, 9)) <= set(steps), steps
 
 
 def test_durbin_closure_undefined_steps():
