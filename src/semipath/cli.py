@@ -24,6 +24,7 @@ from collections import namedtuple
 
 from .errors import (
     BadSentinel,
+    ClosureUndefined,
     IncompatibleRequest,
     NotStabilized,
     ParseError,
@@ -347,10 +348,14 @@ def _build_parser():
 
 
 def _fail(exc, code):
-    print(json.dumps({"error": type(exc).__name__, "message": str(exc),
-                      "step": getattr(exc, "step", None),
-                      "value": encode_value(getattr(exc, "value", None))},
-                     allow_nan=False), file=sys.stderr)
+    report = {"error": type(exc).__name__, "message": str(exc),
+              "step": getattr(exc, "step", None),
+              "value": encode_value(getattr(exc, "value", None))}
+    if isinstance(exc, ClosureUndefined):
+        # the pivot at size k has no star exactly when the leading k-by-k
+        # block has no closure, given that the (k-1)-by-(k-1) block has one
+        report["claim"] = f"leading {exc.step}x{exc.step} block has no closure"
+    print(json.dumps(report, allow_nan=False), file=sys.stderr)
     return code
 
 

@@ -20,9 +20,10 @@ through ``add`` and ``mul``, ``dot`` and ``axpy``, and through the
 bordering step ``border_step`` over them.  Each registered instance
 overrides ``dot`` and ``axpy`` with single-pass forms that return the same
 objects as the generic code: builtins (``max``, ``any``, comprehensions),
-and for nonneg-real's ``dot`` an explicit left-fold loop, faster than
+and explicit left-fold loops for the ``dot`` of nonneg-real, faster than
 ``functools.reduce``, where ``sum``, ``math.fsum`` and ``math.sumprod``
-would change results (``NonNegReal.dot`` says how).
+would change results (``NonNegReal.dot`` says how), and of max-min, which
+takes a min only where it can raise the running max (``MaxMin.dot``).
 ``dot`` is the one summation kernel: the sum that ``border_step`` stars,
 each row of ``SymToeplitz.matvec``, the bordering closure's ``p = C g``,
 ``q = h^T C`` and pivot sum, and each entry of ``Matrix.mul``, that is,
@@ -392,11 +393,21 @@ class MaxMin(Semiring):
         return a if a <= b else b
 
     def dot(self, xs, ys):
+        # the generic left fold, pruned: add(acc, t) replaces acc only when
+        # acc < t = min(x, y), that is when both x and y exceed acc, so the
+        # min is taken only then, and a tie keeps acc as add does
         _check_dot(xs, ys)
-        return max([x if x <= y else y for x, y in zip(xs, ys)])
+        pairs = zip(xs, ys)
+        x, y = next(pairs)
+        acc = x if x <= y else y
+        for x, y in pairs:
+            if x > acc and y > acc:
+                acc = x if x <= y else y
+        return acc
 
     def axpy(self, z, p, a):
-        return [zj if zj >= (t := pj if pj <= a else a) else t for zj, pj in zip(z, p)]
+        # z[j] >= min(p[j], a) exactly when z[j] >= a or z[j] >= p[j]
+        return [zj if zj >= a or zj >= pj else (pj if pj <= a else a) for zj, pj in zip(z, p)]
 
     def closure(self, a):
         return self.one

@@ -11,7 +11,11 @@ with ``scipy.sparse.csgraph``:
   the longest walk being a shortest path on the negated weights (Johnson's
   algorithm, which allows the negative weights of positive entries).  A
   convergent input has no cycle of positive weight, so the negated graph
-  has no negative cycle.
+  has no negative cycle.  Where every entry is at most 0, as on a
+  convergent Toeplitz input, one Dijkstra run answers for every i: from a
+  super-source joined to each j with a finite b_j by an edge of weight
+  max(b) - b_j, over the reversed edges, the distance to i is
+  max(b) - x_i.
 * max-min, for a symmetric matrix: x_i is the largest min(w, b_j), w the
   width of a widest path from i to j (+inf for j = i).  In an undirected
   graph a widest path runs inside a maximum spanning forest (Hu, 1961), so
@@ -28,6 +32,7 @@ import numpy as np
 from scipy.sparse.csgraph import (
     connected_components,
     csgraph_from_dense,
+    dijkstra,
     minimum_spanning_tree,
     shortest_path,
 )
@@ -39,6 +44,26 @@ def max_plus_least_solution(rows, b):
     graph = csgraph_from_dense(-np.array(rows, dtype=float), null_value=np.inf)
     dist = shortest_path(graph, method="J", directed=True)
     return (np.array(b, dtype=float) - dist).max(axis=1).tolist()
+
+
+def max_plus_least_solution_from_one_source(rows, b):
+    """A* b over max-plus for ``rows`` whose entries are all at most 0, by
+    one Dijkstra run; -inf entries of ``rows`` are missing edges."""
+    b = np.array(b, dtype=float)
+    n = len(b)
+    finite = b > -np.inf
+    if not finite.any():
+        return b.tolist()
+    shift = b[finite].max()
+    # node n is the super-source; edge j -> i carries -rows[i][j], so a path
+    # from n through j to i reads a walk from i to j backwards
+    weights = np.full((n + 1, n + 1), np.inf)
+    weights[:n, :n] = -np.array(rows, dtype=float).T
+    weights[n, :n][finite] = shift - b[finite]
+    # null_value=inf keeps the zero weights as edges
+    graph = csgraph_from_dense(weights, null_value=np.inf)
+    dist = dijkstra(graph, directed=True, indices=n)[:n]
+    return (shift - dist).tolist()
 
 
 def max_min_least_solution(rows, b):

@@ -328,6 +328,25 @@ def test_main_error_json_carries_the_failing_value(tmp_path, capsys, doc, algori
     assert (err["error"], err["step"], err["value"]) == (error, step, value)
 
 
+@pytest.mark.parametrize("algorithm", ["durbin", "bordering"])
+def test_closure_undefined_error_json_claims_the_leading_block(tmp_path, capsys, algorithm):
+    # the size-2 pivot max(-1, 5 + 5) has no star: the leading 1x1 block
+    # [-1] has a closure and the leading 2x2 block, with its 2-cycle of
+    # weight 10, has none
+    path = write(tmp_path, {"semiring": "max-plus", "r0": -1, "r": [5, -1]})
+    code = main(["solve", "--semiring", "max-plus", "--algorithm", algorithm,
+                 "--input", path])
+    assert code == 3
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "ClosureUndefined", "message": "closure undefined in max-plus at size 2",
+        "step": 2, "value": 10, "claim": "leading 2x2 block has no closure"}
+    # only a closure failure makes the claim
+    path = write(tmp_path, {"semiring": "nonneg-real", "r0": 0.9, "r": [0], "b": [1e308, 0]})
+    assert main(["solve", "--semiring", "nonneg-real", "--algorithm", "levinson",
+                 "--input", path]) == 3
+    assert "claim" not in json.loads(capsys.readouterr().err)
+
+
 def test_error_json_encodes_a_nan_value_as_a_string(capsys):
     # the size-2 pivot of this matrix is 0 * inf, a NaN
     A = sp.Matrix.from_rows([[0.5, 1e308], [0, 0]], sp.get_semiring("nonneg-real"))

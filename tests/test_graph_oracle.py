@@ -1,5 +1,6 @@
 """durbin, levinson and bordering_solve against graph algorithms that share
-no code with semipath (``graph_oracle``), typed-equal, up to n = 256.
+no code with semipath (``graph_oracle``), typed-equal, up to n = 256, and
+the max-plus Toeplitz solvers at n = 1024 against one Dijkstra run.
 
 The max-plus draws converge: Toeplitz lags are at most 0, and a bordering
 matrix is w_ij + phi_i - phi_j with w_ij at most 0, so every cycle weighs
@@ -20,7 +21,12 @@ pytest.importorskip("scipy")
 import semipath as sp
 from semipath import Matrix, NEG_INF, POS_INF
 
-from graph_oracle import boolean_least_solution, max_min_least_solution, max_plus_least_solution
+from graph_oracle import (
+    boolean_least_solution,
+    max_min_least_solution,
+    max_plus_least_solution,
+    max_plus_least_solution_from_one_source,
+)
 from test_semirings import typed
 
 MP = sp.get_semiring("max-plus")
@@ -59,6 +65,27 @@ def test_max_plus_toeplitz_solvers_match_shortest_paths(n):
         assert typed(sp.durbin(MP, r0, r)) == typed(max_plus_least_solution(rows, r))
         b = max_plus_rhs(rng, n)
         assert typed(sp.levinson(MP, r0, r[:-1], b)) == typed(max_plus_least_solution(rows, b))
+
+
+@pytest.mark.parametrize("n", (5, 64, 1024))
+def test_max_plus_toeplitz_solvers_match_one_dijkstra_run(n):
+    # the all-pairs Johnson oracle takes seconds at n = 1024; up to 64 the
+    # two oracles are checked against each other too.  Lag k weighs at most
+    # -k, so the answers vary along the solution; with weights in [-9, 0]
+    # nearly every entry would be max(b)
+    rng = random.Random(f"graph-oracle:max-plus-dijkstra:{n}")
+    for _ in range(cases(n)):
+        missing = rng.choice((0.2, 0.9))
+        lag = [NEG_INF if rng.random() < missing else float(-k - rng.randint(0, 9))
+               for k in range(n + 1)]
+        r0, r = lag[0], lag[1:]
+        rows = toeplitz_rows(r0, r[:-1])
+        b = max_plus_rhs(rng, n)
+        for rhs, got in ((r, sp.durbin(MP, r0, r)), (b, sp.levinson(MP, r0, r[:-1], b))):
+            want = max_plus_least_solution_from_one_source(rows, rhs)
+            assert typed(got) == typed(want)
+            if n <= 64:
+                assert typed(want) == typed(max_plus_least_solution(rows, rhs))
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -105,6 +132,43 @@ def test_max_min_bordering_solve_matches_widest_paths(n):
         b = [max_min_value(rng, 0.3) for _ in range(n)]
         got = sp.bordering_solve(Matrix.from_rows(rows, MM), b).to_flat()
         assert typed(got) == typed(max_min_least_solution(rows, b))
+
+
+def symmetric_rows(n, values):
+    """The n-by-n symmetric matrix whose upper triangle holds ``values`` row
+    by row: sorted values make every row right of the diagonal, and every
+    column above it, a sorted run."""
+    rows = [[NEG_INF] * n for _ in range(n)]
+    upper = iter(values)
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = next(upper)
+    return rows
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("descending", (False, True), ids=("ascending", "descending"))
+def test_max_min_solvers_match_widest_paths_on_sorted_inputs(n, descending):
+    # the pruned max-min dot replaces its running max at every term of an
+    # ascending sum and at none after the first of a descending one; lags
+    # and dense entries here are sorted runs.  They lie in [-9, 0] and b in
+    # [-9, 9] or +inf, so b_i above every width shows through, and the
+    # answers vary even where the largest entries join every node
+    rng = random.Random(f"graph-oracle:max-min-sorted:{n}:{descending}")
+
+    def run(count, missing):
+        return sorted((weight(rng, missing) for _ in range(count)), reverse=descending)
+
+    for _ in range(cases(n)):
+        missing = rng.choice((0.0, 0.2))
+        r0, *r = run(n + 1, missing)
+        rows = toeplitz_rows(r0, r[:-1])
+        assert typed(sp.durbin(MM, r0, r)) == typed(max_min_least_solution(rows, r))
+        b = [max_min_value(rng, 0.3) for _ in range(n)]
+        assert typed(sp.levinson(MM, r0, r[:-1], b)) == typed(max_min_least_solution(rows, b))
+        dense = symmetric_rows(n, run(n * (n + 1) // 2, missing))
+        got = sp.bordering_solve(Matrix.from_rows(dense, MM), b).to_flat()
+        assert typed(got) == typed(max_min_least_solution(dense, b))
 
 
 def bits(rng, n, density):

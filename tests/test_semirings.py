@@ -5,7 +5,7 @@ import random
 from dataclasses import asdict
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import semipath as sp
 from semipath import NEG_INF, POS_INF
@@ -346,6 +346,30 @@ def test_nonneg_real_dot_is_the_float_left_fold():
         want = typed([sp.Semiring.dot(NN, xs, ys)])
         assert typed([NN.dot(xs, ys)]) == want
         assert typed([NN.dot(tuple(xs), ys)]) == typed([NN.dot(xs, tuple(ys))]) == want
+
+
+MAX_MIN_VALUES = st.sampled_from(KERNEL_VALUES["max-min"])
+
+
+@st.composite
+def max_min_runs(draw, k):
+    """k max-min kernel values as drawn, sorted ascending or sorted
+    descending: where xs and ys both ascend, the pruned fold can raise its
+    running max at every term, its worst case, and where both descend at
+    the first term only"""
+    values = draw(st.lists(MAX_MIN_VALUES, min_size=k, max_size=k))
+    order = draw(st.sampled_from((None, False, True)))
+    return values if order is None else sorted(values, reverse=order)
+
+
+@settings(derandomize=True, max_examples=150)
+@given(st.integers(1, 9).flatmap(lambda k: st.tuples(*[max_min_runs(k)] * 4)), MAX_MIN_VALUES)
+def test_max_min_pruned_kernels_match_the_generic_ones(vectors, a):
+    # dot takes a min only where both operands exceed the running max, and
+    # axpy only where z[j] is below both p[j] and a; ties keep acc and z[j]
+    xs, ys, z, p = vectors
+    assert typed([MM.dot(xs, ys)]) == typed([sp.Semiring.dot(MM, xs, ys)])
+    assert typed(MM.axpy(z, p, a)) == typed(sp.Semiring.axpy(MM, z, p, a))
 
 
 @pytest.mark.parametrize("sr", ALL, ids=lambda s: s.name)
