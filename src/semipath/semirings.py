@@ -19,11 +19,13 @@ Sums of products go through two kernels written once on ``Semiring``
 through ``add`` and ``mul``, ``dot`` and ``axpy``, and through the
 bordering step ``border_step`` over them.  Each registered instance
 overrides ``dot`` and ``axpy`` with single-pass forms that return the same
-objects as the generic code: builtins (``max``, ``any``, comprehensions),
-and explicit left-fold loops for the ``dot`` of nonneg-real, faster than
+objects as the generic code: builtins (``any``, comprehensions), and
+explicit left-fold loops for the ``dot`` of nonneg-real, faster than
 ``functools.reduce``, where ``sum``, ``math.fsum`` and ``math.sumprod``
-would change results (``NonNegReal.dot`` says how), and of max-min, which
-takes a min only where it can raise the running max (``MaxMin.dot``).
+would change results (``NonNegReal.dot`` says how), of max-plus, faster
+than ``max`` over ``map``, whose strict ``>`` keeps ties as ``add`` does
+(``MaxPlus.dot``), and of max-min, which takes a min only where it can
+raise the running max (``MaxMin.dot``).
 ``dot`` is the one summation kernel: the sum that ``border_step`` stars,
 each row of ``SymToeplitz.matvec``, the bordering closure's ``p = C g``,
 ``q = h^T C`` and pivot sum, and each entry of ``Matrix.mul``, that is,
@@ -37,7 +39,6 @@ and stays a reference the instance kernels are tested against.
 """
 
 import math
-import operator
 import random
 
 from .errors import (
@@ -304,10 +305,21 @@ class MaxPlus(Semiring):
         return a + b
 
     def dot(self, xs, ys):
-        # max keeps the first of equal items, as add keeps its left operand;
-        # the two differ only on NaN, which is outside the carrier
+        # the generic left fold, written as a loop so that it runs on the
+        # interpreter's specialised + and > (max over map pays an
+        # operator.add call per term).  The strict > keeps acc on a tie, as
+        # add keeps its left operand, so 3 against 3.0 and 0 against -0.0
+        # come out as they do there; a NaN term fails it and is skipped, as
+        # max skips one after the first item
         _check_dot(xs, ys)
-        return max(map(operator.add, xs, ys))
+        pairs = zip(xs, ys)
+        x, y = next(pairs)
+        acc = x + y
+        for x, y in pairs:
+            t = x + y
+            if t > acc:
+                acc = t
+        return acc
 
     def axpy(self, z, p, a):
         return [zj if zj >= (t := pj + a) else t for zj, pj in zip(z, p)]
@@ -341,16 +353,18 @@ class MaxPlusComplete(MaxPlus):
     has_inverses = False
 
     def dot(self, xs, ys):
-        # IEEE -inf + inf is NaN where mul gives -inf.  max skips a NaN after
-        # the first item, as add skips -inf; only a NaN in first place
-        # survives, and the generic dot handles that case.
+        # IEEE -inf + inf is NaN where mul gives -inf.  The max-plus fold
+        # skips a NaN after the first term, as add skips -inf; only a NaN in
+        # first place survives, and the generic dot handles that case.
         acc = MaxPlus.dot(self, xs, ys)
         return acc if acc == acc else Semiring.dot(self, xs, ys)
 
     def axpy(self, z, p, a):
         if a == POS_INF:
-            # mul(p[j], +inf) is -inf where p[j] is -inf and +inf elsewhere
-            return [zj if pj == NEG_INF or zj == POS_INF else a for zj, pj in zip(z, p)]
+            # mul(p[j], +inf) is -inf where p[j] is -inf and +inf elsewhere;
+            # z[j] = +inf, the usual case once a solve reaches +inf, is
+            # tested first
+            return [zj if zj == POS_INF or pj == NEG_INF else a for zj, pj in zip(z, p)]
         if a == NEG_INF:
             return list(z)
         return MaxPlus.axpy(self, z, p, a)

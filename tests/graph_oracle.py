@@ -16,6 +16,13 @@ with ``scipy.sparse.csgraph``:
   super-source joined to each j with a finite b_j by an edge of weight
   max(b) - b_j, over the reversed edges, the distance to i is
   max(b) - x_i.
+* max-plus-complete, for a symmetric matrix: an entry is +inf when the
+  connected component of its node holds a positive edge (a positive
+  diagonal or a +inf entry included) and some b_j other than -inf, since
+  a walk can pump the 2-cycle of that edge; or when the component holds
+  some b_j = +inf.  A component with a positive edge and only -inf in b
+  is all -inf.  Every other component has entries at most 0 and a finite
+  or -inf b, and the max-plus reference answers for it.
 * max-min, for a symmetric matrix: x_i is the largest min(w, b_j), w the
   width of a widest path from i to j (+inf for j = i).  In an undirected
   graph a widest path runs inside a maximum spanning forest (Hu, 1961), so
@@ -44,6 +51,29 @@ def max_plus_least_solution(rows, b):
     graph = csgraph_from_dense(-np.array(rows, dtype=float), null_value=np.inf)
     dist = shortest_path(graph, method="J", directed=True)
     return (np.array(b, dtype=float) - dist).max(axis=1).tolist()
+
+
+def max_plus_complete_least_solution(rows, b):
+    """A* b over max-plus-complete for a symmetric matrix ``rows``; -inf
+    entries are missing edges, and +inf entries are positive edges."""
+    a = np.array(rows, dtype=float)
+    b = np.array(b, dtype=float)
+    present = a > -np.inf
+    _, labels = connected_components(
+        csgraph_from_dense(present.astype(float)), directed=False
+    )
+    positive = np.zeros(len(b), dtype=bool)
+    positive[labels[(a > 0).any(axis=1)]] = True
+    reached, unbounded = np.zeros_like(positive), np.zeros_like(positive)
+    reached[labels[b > -np.inf]] = True
+    unbounded[labels[b == np.inf]] = True
+    x = np.full(len(b), -np.inf)
+    x[(positive[labels] & reached[labels]) | unbounded[labels]] = np.inf
+    # components without a positive edge or a +inf in b
+    rest = ~(positive | unbounded)[labels]
+    if rest.any():
+        x[rest] = max_plus_least_solution(a[np.ix_(rest, rest)], b[rest])
+    return x.tolist()
 
 
 def max_plus_least_solution_from_one_source(rows, b):

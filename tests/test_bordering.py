@@ -67,6 +67,85 @@ def test_closure_undefined_reports_step():
     assert exc.value.step == 2
 
 
+def assert_closure_undefined_at(A, b, want):
+    """bordering_closure and bordering_solve succeed where ``want`` is None
+    and raise ClosureUndefined at step ``want`` otherwise."""
+    for solve in (lambda: sp.bordering_closure(A), lambda: sp.bordering_solve(A, b)):
+        if want is None:
+            solve()
+        else:
+            with pytest.raises(sp.ClosureUndefined) as exc:
+                solve()
+            assert exc.value.step == want, (A.to_rows(), b)
+
+
+def test_max_plus_closure_undefined_names_the_first_block_with_a_positive_cycle():
+    # a max-plus matrix has a closure exactly when no cycle weighs above 0,
+    # that is when its negated weights hold no negative cycle.  Entries are
+    # w_ij + phi_i - phi_j, so a cycle weighs what its w's sum to while
+    # single entries can be positive; a few w's are positive
+    csgraph = pytest.importorskip("scipy.sparse.csgraph")
+    np = pytest.importorskip("numpy")
+
+    def has_positive_cycle(rows):
+        # a self-loop is tested apart, in case scipy ignores the diagonal
+        if any(rows[i][i] > 0 for i in range(len(rows))):
+            return True
+        # null_value=inf keeps the zero weights as edges
+        graph = csgraph.csgraph_from_dense(-np.array(rows, dtype=float), null_value=np.inf)
+        try:
+            csgraph.shortest_path(graph, method="BF", directed=True)
+        except csgraph.NegativeCycleError:
+            return True
+        return False
+
+    rng = random.Random(59)
+    steps = []
+    for n in range(1, 11):
+        for _ in range(40):
+            phi = [rng.randint(0, 6) for _ in range(n)]
+            bad = rng.choice((0.0, 0.02, 0.1))
+            rows = [[NEG_INF if rng.random() < 0.3
+                     else (rng.randint(1, 2) if rng.random() < bad else rng.randint(-4, 0))
+                     + phi[i] - phi[j] for j in range(n)] for i in range(n)]
+            b = [NEG_INF if rng.random() < 0.3 else rng.randint(-9, 9) for _ in range(n)]
+            want = next((k for k in range(1, n + 1)
+                         if has_positive_cycle([row[:k] for row in rows[:k]])), None)
+            assert_closure_undefined_at(Matrix.from_rows(rows, MP), b, want)
+            steps.append(want)
+    assert steps.count(None) >= 100 and set(range(1, 9)) <= set(steps), steps
+
+
+def test_nonneg_real_closure_undefined_names_the_first_block_with_perron_root_one():
+    # a nonnegative matrix A has a closure (I - A)^-1 >= 0 exactly when its
+    # Perron root, the spectral radius, is below 1, and the Perron root of a
+    # leading block does not fall as the block grows: the first leading block
+    # without a closure is the first with Perron root >= 1.  The pivots and
+    # the eigenvalues round differently, so a draw abstains when a block that
+    # decides the step has a Perron root within BAND of 1
+    np = pytest.importorskip("numpy")
+    band = 1e-9
+    rng = random.Random(61)
+    steps, abstained = [], 0
+    for n in range(1, 11):
+        for _ in range(40):
+            scale = rng.uniform(0.0, 2.0 / n)
+            rows = [[rng.uniform(0.0, 1.1) if i == j
+                     else (0.0 if rng.random() < 0.3 else rng.uniform(0.0, scale))
+                     for j in range(n)] for i in range(n)]
+            b = [rng.uniform(0.0, 1.0) for _ in range(n)]
+            a = np.array(rows)
+            rho = [np.abs(np.linalg.eigvals(a[:k, :k])).max() for k in range(1, n + 1)]
+            want = next((k for k, rho_k in enumerate(rho, 1) if rho_k >= 1), None)
+            if any(abs(rho_k - 1) <= band for rho_k in rho[:want]):
+                abstained += 1
+                continue
+            assert_closure_undefined_at(Matrix.from_rows(rows, NN), b, want)
+            steps.append(want)
+    assert abstained <= 4, abstained
+    assert steps.count(None) >= 100 and set(range(1, 9)) <= set(steps), steps
+
+
 def test_closure_pivot_outside_carrier_reports_step():
     # p = C g = 2 * 1e308 overflows, so the size-2 pivot h . p + 0 is 0 * inf = NaN
     A = Matrix.from_rows([[0.5, 1e308], [0, 0]], NN)

@@ -4,9 +4,9 @@ the max-plus Toeplitz solvers at n = 1024 against one Dijkstra run.
 
 The max-plus draws converge: Toeplitz lags are at most 0, and a bordering
 matrix is w_ij + phi_i - phi_j with w_ij at most 0, so every cycle weighs
-at most 0 while single entries can be positive.  Every max-min and boolean
-draw converges, and the oracles for both need a symmetric matrix, so their
-bordering matrices are symmetric too.  Each entry is -inf (0 on boolean),
+at most 0 while single entries can be positive.  Every max-plus-complete,
+max-min and boolean draw converges, and the oracles for all three need a
+symmetric matrix, so their bordering matrices are symmetric too.  Each entry is -inf (0 on boolean),
 a missing edge, with a per-case probability, so the graphs range from
 dense to mostly disconnected.  Values are integer-valued floats, so every
 sum is exact on both sides, and never -0.0, whose repr differs from 0.0's.
@@ -24,12 +24,14 @@ from semipath import Matrix, NEG_INF, POS_INF
 from graph_oracle import (
     boolean_least_solution,
     max_min_least_solution,
+    max_plus_complete_least_solution,
     max_plus_least_solution,
     max_plus_least_solution_from_one_source,
 )
 from test_semirings import typed
 
 MP = sp.get_semiring("max-plus")
+MPC = sp.get_semiring("max-plus-complete")
 MM = sp.get_semiring("max-min")
 BOOL = sp.get_semiring("boolean")
 
@@ -98,6 +100,47 @@ def test_max_plus_bordering_solve_matches_shortest_paths(n):
         b = max_plus_rhs(rng, n)
         got = sp.bordering_solve(Matrix.from_rows(rows, MP), b).to_flat()
         assert typed(got) == typed(max_plus_least_solution(rows, b))
+
+
+def max_plus_complete_value(rng, missing, positive):
+    """-inf with probability missing, else +inf or an integer-valued float
+    in [1, 9] with probability positive, else one in [-9, 0]."""
+    if rng.random() < missing:
+        return NEG_INF
+    if rng.random() < positive:
+        return POS_INF if rng.random() < 0.3 else float(rng.randint(1, 9))
+    return float(rng.randint(-9, 0))
+
+
+def max_plus_complete_rhs(rng, n):
+    """-inf with probability 0.3, +inf with about one entry in n, else an
+    integer-valued float in [-9, 9]."""
+    return [NEG_INF if rng.random() < 0.3 else POS_INF if rng.random() < 1 / (n + 1)
+            else float(rng.randint(-9, 9)) for _ in range(n)]
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_max_plus_complete_solvers_match_components_and_shortest_paths(n):
+    # a component with a positive edge and some b_j other than -inf, or with
+    # a b_j of +inf, is +inf throughout; the rest is max-plus.  With about
+    # one entry in n present, the graph falls apart into many components,
+    # and positive entries are rare, per entry for the dense matrix, so the
+    # answers mix +inf, finite and -inf; the single case at n = 256 is one
+    # of those
+    rng = random.Random(f"graph-oracle:max-plus-complete:{n}")
+    for case in range(cases(n)):
+        missing = (1 - 1 / n, 0.9, 0.2)[case % 3]
+        positive = rng.choice((0.0, 0.5 / n, 0.05))
+        r0, *r = (max_plus_complete_value(rng, missing, positive) for _ in range(n + 1))
+        rows = toeplitz_rows(r0, r[:-1])
+        assert typed(sp.durbin(MPC, r0, r)) == typed(max_plus_complete_least_solution(rows, r))
+        b = max_plus_complete_rhs(rng, n)
+        assert typed(sp.levinson(MPC, r0, r[:-1], b)) == typed(
+            max_plus_complete_least_solution(rows, b))
+        dense = symmetric_rows(n, [max_plus_complete_value(rng, missing, positive / n)
+                                   for _ in range(n * (n + 1) // 2)])
+        got = sp.bordering_solve(Matrix.from_rows(dense, MPC), b).to_flat()
+        assert typed(got) == typed(max_plus_complete_least_solution(dense, b))
 
 
 def max_min_value(rng, missing):

@@ -352,24 +352,51 @@ MAX_MIN_VALUES = st.sampled_from(KERNEL_VALUES["max-min"])
 
 
 @st.composite
-def max_min_runs(draw, k):
-    """k max-min kernel values as drawn, sorted ascending or sorted
-    descending: where xs and ys both ascend, the pruned fold can raise its
+def kernel_runs(draw, values, k):
+    """k kernel values drawn from ``values``, as drawn, sorted ascending or
+    sorted descending: where xs and ys both ascend, a max fold raises its
     running max at every term, its worst case, and where both descend at
     the first term only"""
-    values = draw(st.lists(MAX_MIN_VALUES, min_size=k, max_size=k))
+    drawn = draw(st.lists(values, min_size=k, max_size=k))
     order = draw(st.sampled_from((None, False, True)))
-    return values if order is None else sorted(values, reverse=order)
+    return drawn if order is None else sorted(drawn, reverse=order)
 
 
 @settings(derandomize=True, max_examples=150)
-@given(st.integers(1, 9).flatmap(lambda k: st.tuples(*[max_min_runs(k)] * 4)), MAX_MIN_VALUES)
+@given(st.integers(1, 9).flatmap(lambda k: st.tuples(*[kernel_runs(MAX_MIN_VALUES, k)] * 4)),
+       MAX_MIN_VALUES)
 def test_max_min_pruned_kernels_match_the_generic_ones(vectors, a):
     # dot takes a min only where both operands exceed the running max, and
     # axpy only where z[j] is below both p[j] and a; ties keep acc and z[j]
     xs, ys, z, p = vectors
     assert typed([MM.dot(xs, ys)]) == typed([sp.Semiring.dot(MM, xs, ys)])
     assert typed(MM.axpy(z, p, a)) == typed(sp.Semiring.axpy(MM, z, p, a))
+
+
+@st.composite
+def max_plus_kernel_args(draw):
+    """max-plus or max-plus-complete, with xs, ys, z, p and a from its pool,
+    in half the cases with +-1e308 added, whose sums overflow to +-inf; the
+    other half keeps the ties of the pool's ints and floats at the top of a
+    sum"""
+    sr = draw(st.sampled_from([MP, MPC]))
+    pool = KERNEL_VALUES[sr.name] + draw(st.sampled_from(([], [1e308, -1e308])))
+    values = st.sampled_from(pool)
+    k = draw(st.integers(1, 9))
+    return (sr, *(draw(kernel_runs(values, k)) for _ in range(4)), draw(values))
+
+
+@settings(derandomize=True, max_examples=150)
+@given(max_plus_kernel_args())
+def test_max_plus_loop_kernels_match_the_generic_ones(args):
+    # dot is a left fold whose strict > keeps acc on a tie (3 against 3.0,
+    # 0 against -0.0) and skips a NaN term from -inf + inf; max-plus-complete
+    # falls back to the generic dot on a NaN in first place, and its axpy
+    # branches on a = +inf, -inf or finite
+    sr, xs, ys, z, p, a = args
+    generic = sp.CountingSemiring(sr)
+    assert typed([sr.dot(xs, ys)]) == typed([generic.dot(xs, ys)])
+    assert typed(sr.axpy(z, p, a)) == typed(generic.axpy(z, p, a))
 
 
 @pytest.mark.parametrize("sr", ALL, ids=lambda s: s.name)
