@@ -131,7 +131,12 @@ class Semiring:
     def axpy(self, z, p, a):
         """A new list of add(z[j], mul(p[j], a)) over j, with len(z) ``mul``
         and len(z) ``add`` calls through ``self``; instance overrides return
-        the same objects."""
+        the same objects.
+
+        p is any iterable of len(z) values, read once, in step with z: the
+        Toeplitz recursion passes ``reversed(y)``, an iterator, so an
+        override zips over p and never indexes it or takes its length.
+        """
         add, mul = self.add, self.mul
         return [add(zj, mul(pj, a)) for zj, pj in zip(z, p)]
 
@@ -139,8 +144,10 @@ class Semiring:
         """Extend z, which solves a leading k-by-k system (k = len(z)), by one
         entry for a right-hand side whose next entry is rhs_k.
 
-        h is the new row left of the diagonal, p the leading closure times
-        the new column above it, and star the new corner's starred pivot.
+        h is the new row left of the diagonal, a sequence; p the leading
+        closure times the new column above it, an iterable of len(z) values
+        that goes to ``axpy`` alone, read once, in step with z; and star the
+        new corner's starred pivot.
         The new entry is star * s with s = h . z + rhs_k (s = rhs_k for empty
         z, where h is not read), and each z[j] gains p[j] times it.  Returns
         the extended list, the new entry and s, the sum that was starred: the

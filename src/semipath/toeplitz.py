@@ -8,9 +8,13 @@ generator: at each size k it updates the pivot beta, stars it, and extends
 y (the self-generated solution) and, when b is given, x by one entry.  Both
 extensions are ``Semiring.border_step`` over the instance's ``dot`` and
 ``axpy`` kernels, the step ``bordering_solve`` takes: by persymmetry the
-leading closure times the new column is the reversed y, so the closure is
+leading closure times the new column is y read backwards, so the closure is
 never carried and the total operation count is quadratic in n rather than
-the cubic cost of the general bordering route.
+the cubic cost of the general bordering route.  The recursion passes that
+column as ``reversed(y)``, an iterator that copies nothing, and yields its
+live y and x lists.  Besides the new lists ``border_step`` builds, a step
+copies only the row h = r[k-1::-1], which stays a sequence because ``dot``
+checks its length.
 
 The pivot beta_k = r0 + r[0:k] . y[0:k] is never recomputed from that dot
 product: every step updates it in constant time, beta_{k+1} = beta_k + s_k
@@ -93,6 +97,11 @@ class SolveState(namedtuple("SolveState", "k y alpha beta x mu", defaults=(None,
     ``x`` solves the size-k system for b.  ``alpha`` is the newest entry of
     y, ``mu`` the newest entry of x, ``beta`` the pivot scalar that was
     starred to produce them.
+
+    ``y`` and ``x`` are the recursion's own lists, not copies.  No later
+    step changes them, since each extension builds a new list, but the next
+    step reads them, so a caller copies one before mutating it while the
+    iteration is still running.
     """
 
     __slots__ = ()
@@ -107,6 +116,9 @@ def _check_variant(variant):
 def _steps(sr, r0, r, b):
     """The recursion behind ``durbin_steps`` and ``levinson_steps``: y/alpha
     is extended while k < len(r), x/mu only when a right-hand side b is given.
+
+    Each state carries the live y and x, uncopied: ``border_step`` returns
+    a new list, so no step changes a list an earlier state holds.
     """
     n = len(r) if b is None else len(b)
     if n < 1:
@@ -118,24 +130,24 @@ def _steps(sr, r0, r, b):
 
     beta, alpha, s, mu = r0, None, None, None
     y, x = [], None if b is None else []
-    h = p = ()
+    h = ()
     for k in range(n):
         if k:
             beta = sr.add(beta, sr.mul(s, alpha))
-            # by persymmetry the closure times the new column is reversed y
-            h, p = r[k - 1::-1], y[::-1]
+            h = r[k - 1::-1]
         bstar = _star(sr, beta, k + 1)
+        # by persymmetry the closure times the new column is y read backwards
         if b is not None:
-            x, mu, _ = sr.border_step(x, h, p, b[k], bstar)
+            x, mu, _ = sr.border_step(x, h, reversed(y), b[k], bstar)
             _check_carrier(sr, (mu,), k + 1)
         if k < len(r):
-            y, alpha, s = sr.border_step(y, h, p, r[k], bstar)
+            y, alpha, s = sr.border_step(y, h, reversed(y), r[k], bstar)
             _check_carrier(sr, (alpha,), k + 1)
         if k == n - 1:
             # an update can overflow while every new entry stays finite
             _check_carrier(sr, y if b is None else x, n)
         # positional: keywords make a namedtuple about 1.8x slower to build
-        yield SolveState(k + 1, list(y), alpha, beta, None if x is None else list(x), mu)
+        yield SolveState(k + 1, y, alpha, beta, x, mu)
 
 
 def durbin_steps(semiring, r0, r):
@@ -144,6 +156,8 @@ def durbin_steps(semiring, r0, r):
     The state with k == j satisfies y = T_j y + r[:j] where T_j is the
     symmetric Toeplitz matrix with diagonal r0 and tail r[:j-1]; it is
     exactly what a run on the truncated input (r0, r[:j]) would return.
+    Each state's y is a fresh list that no later step changes; the next
+    step reads it, so copy it before mutating it mid-iteration.
     """
     yield from _steps(semiring, r0, r, None)
 
@@ -172,7 +186,10 @@ def levinson_steps(semiring, r0, r, b):
 
     Interleaves the self-generated recursion (y, alpha, beta) with the
     x/mu recursion for the actual right-hand side b; the final step skips
-    the y extension since y is only needed to extend x further.
+    the y extension since y is only needed to extend x further, so the last
+    two states share one y.  Each state's x is a fresh list, and no later
+    step changes a yielded y or x; the next step reads them, so copy one
+    before mutating it mid-iteration.
     """
     yield from _steps(semiring, r0, r, b)
 

@@ -254,13 +254,21 @@ def typed(values):
 
 def assert_kernels_match_the_generic_ones(sr, z, h, p, rhs_k, star):
     """sr's step, dot and axpy return the objects of the generic code run on
-    sr's add and mul: CountingSemiring keeps the generic kernels."""
-    got, new, s = sr.border_step(list(z), h, p, rhs_k, star)
-    want, want_new, want_s = sp.CountingSemiring(sr).border_step(list(z), h, p, rhs_k, star)
-    assert typed(got + [new, s]) == typed(want + [want_new, want_s]), (z, h, p, rhs_k, star)
+    sr's add and mul: CountingSemiring keeps the generic kernels.  p may be
+    a one-shot iterator, as the Toeplitz recursion's reversed(y) is, so each
+    step and update also runs on iter(p) and must give the list form's
+    objects."""
+    counting = sp.CountingSemiring(sr)
+    got, new, s = counting.border_step(list(z), h, p, rhs_k, star)
+    want = typed(got + [new, s])
+    for kernels, q in ((sr, p), (sr, iter(p)), (counting, iter(p))):
+        got, new, s = kernels.border_step(list(z), h, q, rhs_k, star)
+        assert typed(got + [new, s]) == want, (kernels, z, h, p, rhs_k, star)
     if z:
         assert typed([sr.dot(h, z)]) == typed([sp.Semiring.dot(sr, h, z)]), (h, z)
-    assert typed(sr.axpy(z, p, rhs_k)) == typed(sp.Semiring.axpy(sr, z, p, rhs_k)), (z, p, rhs_k)
+    want = typed(counting.axpy(z, p, rhs_k))
+    for kernels, q in ((sr, p), (sr, iter(p)), (counting, iter(p))):
+        assert typed(kernels.axpy(z, q, rhs_k)) == want, (kernels, z, p, rhs_k)
 
 
 @pytest.mark.parametrize("sr", ALL, ids=lambda s: s.name)
